@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"

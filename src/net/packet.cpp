@@ -1,7 +1,6 @@
 #include "net/packet.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace p4ce::net {
 
@@ -68,21 +67,6 @@ Packet Packet::decode(BytesView bytes, bool* ok) {
   return p;
 }
 
-std::string Packet::describe() const {
-  char buf[160];
-  if (cm) {
-    std::snprintf(buf, sizeof(buf), "CM %s %s->%s qpn=%u psn=%u",
-                  std::string(rdma::to_string(cm->type)).c_str(), ipv4_to_string(ip.src).c_str(),
-                  ipv4_to_string(ip.dst).c_str(), cm->sender_qpn, cm->starting_psn);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%s %s->%s dqp=%u psn=%u len=%zu%s",
-                  std::string(rdma::to_string(bth.opcode)).c_str(),
-                  ipv4_to_string(ip.src).c_str(), ipv4_to_string(ip.dst).c_str(), bth.dest_qp,
-                  bth.psn, payload.size(), is_nak() ? " NAK" : "");
-  }
-  return buf;
-}
-
 SimTime Link::send(int from, Packet packet) {
   const SimTime now = sim_.now();
   if (is_cut() || ends_[1 - from] == nullptr) return now;
@@ -96,20 +80,11 @@ SimTime Link::send(int from, Packet packet) {
   ++packets_[from];
 
   PacketSink* dst = ends_[1 - from];
-  const sim::LaneId dst_lane = lanes_[1 - from];
-  const u64 epoch = epoch_.load(std::memory_order_relaxed);
-  auto deliver = [this, dst, epoch, p = std::move(packet)]() mutable {
-    if (epoch_.load(std::memory_order_relaxed) != epoch || is_cut()) return;  // severed
+  const u64 epoch = epoch_;
+  sim_.schedule_at(done + propagation_, [this, dst, epoch, p = std::move(packet)]() mutable {
+    if (epoch_ != epoch || cut_) return;  // severed
     dst->deliver(std::move(p));
-  };
-  // Delivery lands done + propagation_ >= now + propagation_ in the future,
-  // and the lane graph's lookahead for this pair is at most propagation_, so
-  // a cross-lane post is always legal.
-  if (dst_lane != sim::Simulator::kNoLane) {
-    sim_.post(dst_lane, done + propagation_, std::move(deliver));
-  } else {
-    sim_.schedule_at(done + propagation_, std::move(deliver));
-  }
+  });
   return done;
 }
 

@@ -13,7 +13,6 @@ LatencyAttribution& LatencyAttribution::global() {
 }
 
 void LatencyAttribution::reset() {
-  SpinLockGuard g(mu_);
   rounds_ = 0;
   committed_ = 0;
   total_.reset();
@@ -23,9 +22,6 @@ void LatencyAttribution::reset() {
 
 void LatencyAttribution::record_round(const RoundTiming& t) {
   if (!g_enabled_) return;
-  // Rounds end on their leader's lane; concurrent domains feed this sink
-  // from different lanes at once.
-  SpinLockGuard g(mu_);
   ++rounds_;
   if (t.committed) ++committed_;
   total_.record(std::max<Duration>(t.end - t.start, 0));

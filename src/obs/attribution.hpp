@@ -95,7 +95,6 @@ class LatencyAttribution {
 
  private:
   static inline bool g_enabled_ = false;
-  mutable SpinLock mu_;  ///< rounds end on whichever lane their leader runs
   u64 rounds_ = 0;
   u64 committed_ = 0;
   LatencyHistogram total_;

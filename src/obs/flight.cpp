@@ -21,7 +21,6 @@ void FlightRecorder::enable(std::size_t max_captures, std::size_t frame_window,
 }
 
 void FlightRecorder::reset() {
-  SpinLockGuard g(mu_);
   dropped_ = 0;
   last_by_kind_.clear();
   captures_.clear();
@@ -29,7 +28,6 @@ void FlightRecorder::reset() {
 
 bool FlightRecorder::trigger(const char* kind, SimTime at, const char* detail_name, u64 detail) {
   if (!g_enabled_) return false;
-  SpinLockGuard g(mu_);
   const auto last = last_by_kind_.find(kind);
   // `at < last` means a fresh cluster restarted the simulated clock; treat
   // that as a new timeline rather than suppressing its first fault.
@@ -48,7 +46,7 @@ bool FlightRecorder::trigger(const char* kind, SimTime at, const char* detail_na
   capture.at = at;
   if (detail_name != nullptr) capture.detail_name = detail_name;
   capture.detail = detail;
-  capture.series = Sampler::global().series_snapshot();
+  capture.series = Sampler::global().series_names();
   capture.frames = Sampler::global().last_frames(frame_window_);
   for (const auto& round : Tracer::global().active_rounds()) {
     capture.rounds.push_back(RoundInFlight{round.key, round.start});

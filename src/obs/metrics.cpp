@@ -11,21 +11,18 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
 LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<LatencyHistogram>();
   return *slot;
@@ -60,7 +57,6 @@ const MetricsRegistry::Series* MetricsRegistry::Snapshot::find(
 }
 
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.series.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
@@ -96,14 +92,12 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 
 std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 

@@ -4,21 +4,13 @@
 // process (the registry never removes an entry), so components may cache a
 // reference in a function-local static and keep using it across cluster
 // rebuilds; reset() zeroes every instrument between bench phases without
-// invalidating those references.
-//
-// Lanes of the parallel simulation kernel share these instruments (a
-// per-domain gauge is written by every node in the domain, and NodeMetrics
-// counters by every node in the process), so increments are relaxed atomics:
-// wait-free on the hot path, and sane-if-racy for samplers reading from
-// another lane. The registry itself takes a mutex only on registration,
-// snapshot and reset.
+// invalidating those references. The simulation is single-threaded, so the
+// hot path is a plain integer add.
 #pragma once
 
-#include <atomic>
 #include <initializer_list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,40 +24,34 @@ namespace p4ce::obs {
 /// Monotonic event count (e.g. rdma.qp.retransmits).
 class Counter {
  public:
-  void inc(u64 n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  u64 value() const noexcept { return value_.load(std::memory_order_relaxed); }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void inc(u64 n = 1) noexcept { value_ += n; }
+  u64 value() const noexcept { return value_; }
+  void reset() noexcept { value_ = 0; }
 
  private:
-  std::atomic<u64> value_{0};
+  u64 value_ = 0;
 };
 
 /// Point-in-time level plus its high-water mark since the last reset
-/// (e.g. switch.port.parser_backlog_ns). set() is atomic per field: the
-/// level is a plain store and the high-water a CAS raise, so concurrent
-/// writers from different lanes never lose the maximum (the *pair* is not
-/// snapshotted atomically; samplers tolerate that).
+/// (e.g. switch.port.parser_backlog_ns).
 class Gauge {
  public:
   void set(double v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-    double hw = high_water_.load(std::memory_order_relaxed);
-    while (v > hw &&
-           !high_water_.compare_exchange_weak(hw, v, std::memory_order_relaxed)) {
-    }
+    value_ = v;
+    if (v > high_water_) high_water_ = v;
   }
-  void add(double delta) noexcept { set(value_.load(std::memory_order_relaxed) + delta); }
+  void add(double delta) noexcept { set(value_ + delta); }
 
-  double value() const noexcept { return value_.load(std::memory_order_relaxed); }
-  double high_water() const noexcept { return high_water_.load(std::memory_order_relaxed); }
+  double value() const noexcept { return value_; }
+  double high_water() const noexcept { return high_water_; }
   void reset() noexcept {
-    value_.store(0, std::memory_order_relaxed);
-    high_water_.store(0, std::memory_order_relaxed);
+    value_ = 0;
+    high_water_ = 0;
   }
 
  private:
-  std::atomic<double> value_{0};
-  std::atomic<double> high_water_{0};
+  double value_ = 0;
+  double high_water_ = 0;
 };
 
 class MetricsRegistry {
@@ -119,7 +105,6 @@ class MetricsRegistry {
   bool write_json(const std::string& path) const;
 
  private:
-  mutable std::mutex mu_;  // guards the maps, not the instrument values
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;

@@ -20,7 +20,6 @@ void Sampler::enable(Duration period, std::size_t capacity) {
 }
 
 void Sampler::reset() {
-  SpinLockGuard g(mu_);
   ring_.clear();
   names_.clear();
   index_.clear();
@@ -39,7 +38,6 @@ std::size_t Sampler::column_for(const std::string& name) {
 void Sampler::tick(SimTime now) {
   if (!g_enabled_) return;
   const MetricsRegistry::Snapshot snapshot = MetricsRegistry::global().snapshot();
-  SpinLockGuard g(mu_);
   Frame frame;
   frame.at = now;
   frame.epoch = epoch_;
@@ -65,18 +63,11 @@ void Sampler::tick(SimTime now) {
   ring_.push_back(std::move(frame));
 }
 
-std::vector<std::string> Sampler::series_snapshot() const {
-  SpinLockGuard g(mu_);
-  return names_;
-}
-
 std::vector<Sampler::Frame> Sampler::frames() const {
-  SpinLockGuard g(mu_);
   return std::vector<Frame>(ring_.begin(), ring_.end());
 }
 
 std::vector<Sampler::Frame> Sampler::last_frames(std::size_t n) const {
-  SpinLockGuard g(mu_);
   const std::size_t take = std::min(n, ring_.size());
   return std::vector<Frame>(ring_.end() - static_cast<std::ptrdiff_t>(take), ring_.end());
 }
@@ -125,7 +116,7 @@ void Sampler::append_json(std::string& out) const {
   out += "{\n  \"schema\": \"p4ce-series-v1\",\n  \"period_ns\": ";
   append_num(out, static_cast<double>(period_));
   out += ",\n  ";
-  append_frames_json(out, series_snapshot(), frames());
+  append_frames_json(out, series_names(), frames());
   out += "\n}\n";
 }
 

@@ -70,11 +70,8 @@ class Sampler {
   void tick(SimTime now);
 
   std::size_t frame_count() const noexcept { return ring_.size(); }
-  /// Column names by reference — only safe while the simulation is quiesced
-  /// (tick() appends columns); in-sim readers use series_snapshot().
+  /// Column names in column order (tick() appends new ones).
   const std::vector<std::string>& series_names() const noexcept { return names_; }
-  /// Locked copy of the column names, safe against a concurrent tick().
-  std::vector<std::string> series_snapshot() const;
   /// Oldest-to-newest copies of the buffered frames.
   std::vector<Frame> frames() const;
   /// The most recent `n` frames, oldest first.
@@ -98,10 +95,6 @@ class Sampler {
   Duration period_ = 0;
   std::size_t capacity_ = 4096;
   u32 epoch_ = 0;
-  // The driver ticks on one lane while the flight recorder snapshots frames
-  // from whichever lane its trigger fired on; the spinlock covers the column
-  // table and the frame ring. enable()/export stay quiesced-setup calls.
-  mutable SpinLock mu_;
   std::vector<std::string> names_;            ///< column order, append-only
   std::map<std::string, std::size_t> index_;  ///< series name -> column
   std::deque<Frame> ring_;

@@ -38,7 +38,6 @@ void Tracer::disable() noexcept {
 }
 
 void Tracer::clear() {
-  SpinLockGuard g(mu_);
   events_.clear();
   active_.clear();
   overflowed_ = false;
@@ -61,7 +60,6 @@ void Tracer::push(Event event) {
 }
 
 void Tracer::begin_round(u64 instance, SimTime start) {
-  SpinLockGuard g(mu_);
   if (!sampled(instance) || find_round(instance) != nullptr) return;
   Round round;
   round.instance = instance;
@@ -71,19 +69,16 @@ void Tracer::begin_round(u64 instance, SimTime start) {
 
 void Tracer::span(u64 instance, const char* name, SimTime start, SimTime end,
                   const char* arg_name, u64 arg) {
-  SpinLockGuard g(mu_);
   if (find_round(instance) == nullptr) return;
   push(Event{instance, name, start, std::max<Duration>(end - start, 0), arg_name, arg});
 }
 
 void Tracer::instant(u64 instance, const char* name, SimTime at, const char* arg_name, u64 arg) {
-  SpinLockGuard g(mu_);
   if (find_round(instance) == nullptr) return;
   push(Event{instance, name, at, -1, arg_name, arg});
 }
 
 void Tracer::map_wire(u64 instance, Psn first_psn, u32 npkts, Qpn qpn) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->has_wire = true;
@@ -93,7 +88,6 @@ void Tracer::map_wire(u64 instance, Psn first_psn, u32 npkts, Qpn qpn) {
 }
 
 u64 Tracer::instance_for_psn(Psn psn, Qpn qpn) const noexcept {
-  SpinLockGuard g(mu_);
   for (const auto& round : active_) {
     if (!round.has_wire) continue;
     if (qpn != 0 && round.wire_qpn != 0 && round.wire_qpn != qpn) continue;
@@ -104,28 +98,24 @@ u64 Tracer::instance_for_psn(Psn psn, Qpn qpn) const noexcept {
 }
 
 void Tracer::mark_propose_done(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->propose_end = std::max(round->propose_end, at);
 }
 
 void Tracer::mark_post_done(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->post_end = std::max(round->post_end, at);
 }
 
 void Tracer::mark_ack_rx(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   if (round->ack_rx < 0) round->ack_rx = at;
 }
 
 void Tracer::on_scatter(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   if (round->scatter_first < 0) round->scatter_first = at;
@@ -133,7 +123,6 @@ void Tracer::on_scatter(u64 instance, SimTime at) {
 }
 
 void Tracer::on_scatter_copy(u64 instance, SimTime at, u32 replica) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->scatter_last = std::max(round->scatter_last, at);
@@ -141,7 +130,6 @@ void Tracer::on_scatter_copy(u64 instance, SimTime at, u32 replica) {
 }
 
 void Tracer::on_ack(u64 instance, SimTime at, u32 replica) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   if (round->gather_first < 0) round->gather_first = at;
@@ -150,7 +138,6 @@ void Tracer::on_ack(u64 instance, SimTime at, u32 replica) {
 }
 
 void Tracer::on_quorum(u64 instance, SimTime at) {
-  SpinLockGuard g(mu_);
   Round* round = find_round(instance);
   if (round == nullptr) return;
   round->gather_last = std::max(round->gather_last, at);
@@ -159,7 +146,6 @@ void Tracer::on_quorum(u64 instance, SimTime at) {
 }
 
 void Tracer::end_round(u64 instance, SimTime end, bool committed) {
-  SpinLockGuard g(mu_);
   auto it = std::find_if(active_.begin(), active_.end(),
                          [&](const Round& r) { return r.instance == instance; });
   if (it == active_.end()) return;
@@ -195,7 +181,6 @@ void Tracer::end_round(u64 instance, SimTime end, bool committed) {
 }
 
 std::vector<Tracer::InFlight> Tracer::active_rounds() const {
-  SpinLockGuard g(mu_);
   std::vector<InFlight> out;
   out.reserve(active_.size());
   for (const auto& round : active_) out.push_back(InFlight{round.instance, round.start});

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include <tuple>
-#include "common/logging.hpp"
 
 namespace p4ce::p4 {
 

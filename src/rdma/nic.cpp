@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "rdma/cm.hpp"
 
 namespace p4ce::rdma {
@@ -16,7 +15,8 @@ Nic::Nic(sim::Simulator& sim, std::string name, Ipv4Addr ip, net::MacAddr mac,
       mac_(mac),
       memory_(memory),
       config_(config),
-      cm_(std::make_unique<CmAgent>(*this)) {}
+      cm_(std::make_unique<CmAgent>(*this)),
+      no_qp_drops_(obs::MetricsRegistry::global().counter("rdma.nic.no_qp_drops")) {}
 
 Nic::~Nic() = default;
 
@@ -86,7 +86,7 @@ void Nic::dispatch(net::Packet packet) {
   QueuePair* qp = find_qp(packet.bth.dest_qp);
   if (qp == nullptr) {
     ++drop_count_;
-    log(LogLevel::kDebug, sim_.now(), name_, "drop, no QP: " + packet.describe());
+    no_qp_drops_.inc();
     return;
   }
   qp->handle_packet(std::move(packet));

@@ -14,6 +14,7 @@
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 #include "rdma/completion.hpp"
 #include "rdma/memory.hpp"
 #include "rdma/qp.hpp"
@@ -127,6 +128,9 @@ class Nic : public net::PacketSink, public PacketIo {
   u64 tx_count_ = 0;
   u64 rx_count_ = 0;
   u64 drop_count_ = 0;
+  /// Process-wide twin of drop_count_: packets for a QP this NIC does not
+  /// own (e.g. stragglers to a QP destroyed by a crash).
+  obs::Counter& no_qp_drops_;
   u64 rx_overflow_count_ = 0;
   bool powered_ = true;
 };

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 

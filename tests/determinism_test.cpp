@@ -3,11 +3,16 @@
 // simulated time and execute the exact same number of kernel events. This
 // pins the (when, seq) FIFO tie-break and the allocation-free event core:
 // any hidden ordering dependence (pointer order, hash order, recycled-slot
-// order) shows up here as a diverging event count.
+// order) shows up here as a diverging event count. The chaos cases extend
+// the same contract to seeded crash schedules under load.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/cluster.hpp"
 #include "obs/attribution.hpp"
 #include "obs/flight.hpp"
@@ -65,7 +70,8 @@ TEST_P(DeterminismTest, IdenticalRunsAreBitForBitEqual) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, DeterminismTest,
-                         ::testing::Values(consensus::Mode::kP4ce, consensus::Mode::kMu));
+                         ::testing::Values(consensus::Mode::kP4ce, consensus::Mode::kMu,
+                                           consensus::Mode::kOneSided));
 
 // The single-bool guard discipline: with attribution, sampling, and the
 // flight recorder all disabled, a run is byte-identical to one where the
@@ -113,6 +119,92 @@ TEST_P(DeterminismTest, ObservabilityHooksDoNotPerturbTheProtocol) {
   EXPECT_EQ(disabled.end_time, baseline.end_time);
   EXPECT_EQ(disabled.leader_tx_bytes, baseline.leader_tx_bytes);
 }
+
+// --- Chaos: seeded crash schedules are bit-for-bit repeatable ---------------
+
+struct ChaosOutcome {
+  u64 committed = 0;
+  u64 max_committed_seq = 0;
+  u64 proposals = 0;
+  SimTime end_time = 0;
+  std::vector<u64> delivered;  // per surviving node
+
+  bool operator==(const ChaosOutcome&) const = default;
+};
+
+ChaosOutcome run_chaos(u64 seed) {
+  Rng rng(seed);
+  core::ClusterOptions options;
+  options.machines = 5;
+  options.mode = consensus::Mode::kP4ce;
+  options.cal = consensus::Calibration::failover();
+  auto cluster = core::Cluster::create(options);
+  EXPECT_TRUE(cluster->start());
+  sim::Simulator& sim = cluster->sim();
+
+  std::set<u64> committed_seqs;
+  u64 proposals = 0;
+
+  // Load pump: one proposal to the current leader every 25 us.
+  auto pump = std::make_shared<std::function<void()>>();
+  *pump = [&cluster, &committed_seqs, &proposals, pump] {
+    if (consensus::Node* leader = cluster->leader()) {
+      ++proposals;
+      std::ignore = leader->propose(Bytes(64, static_cast<u8>(proposals)),
+                                    [&committed_seqs](Status st, u64 seq) {
+                                      if (st.is_ok()) committed_seqs.insert(seq);
+                                    });
+    }
+    cluster->sim().schedule(microseconds(25), [pump] { (*pump)(); });
+  };
+  sim.schedule(microseconds(5), [pump] { (*pump)(); });
+
+  // Fault schedule: one or two distinct machines crash at seeded times.
+  const u32 machine_crashes = 1 + static_cast<u32>(rng.next_below(2));
+  std::set<u32> killed;
+  for (u32 k = 0; k < machine_crashes; ++k) {
+    u32 victim;
+    do {
+      victim = static_cast<u32>(rng.next_below(5));
+    } while (killed.contains(victim));
+    killed.insert(victim);
+    const Duration delay = 2'000'000 + static_cast<Duration>(rng.next_below(10'000'000));
+    sim.schedule(delay, [&cluster, victim] { cluster->crash_node(victim); });
+  }
+
+  cluster->run_for(milliseconds(15));
+  cluster->run_for(milliseconds(60));
+  cluster->run_for(milliseconds(5));  // drain deliveries
+  *pump = nullptr;  // break the self-referential keep-alive cycle (no runs after)
+
+  ChaosOutcome out;
+  out.committed = committed_seqs.size();
+  out.max_committed_seq = committed_seqs.empty() ? 0 : *committed_seqs.rbegin();
+  out.proposals = proposals;
+  out.end_time = cluster->now();
+  for (u32 i = 0; i < 5; ++i) {
+    if (killed.contains(i)) continue;
+    out.delivered.push_back(cluster->node(i).last_delivered_seq());
+  }
+
+  // Safety: no committed value may be lost by any survivor.
+  for (u64 d : out.delivered) {
+    EXPECT_GE(d, out.max_committed_seq) << "survivor lost committed entries (seed " << seed << ")";
+  }
+  EXPECT_GT(out.committed, 0u) << "nothing committed (seed " << seed << ")";
+  return out;
+}
+
+class ChaosDeterminismTest : public ::testing::TestWithParam<u64> {};
+
+TEST_P(ChaosDeterminismTest, FaultSchedulesAreBitForBitRepeatable) {
+  const ChaosOutcome first = run_chaos(GetParam());
+  const ChaosOutcome second = run_chaos(GetParam());
+  EXPECT_EQ(first, second) << "seed " << GetParam() << " not repeatable";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosDeterminismTest,
+                         ::testing::Values(11, 23, 37, 41, 53, 67, 79, 97));
 
 }  // namespace
 }  // namespace p4ce

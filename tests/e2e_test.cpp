@@ -286,5 +286,16 @@ TEST_P(BatchSizeTest, BatchedProposalsDeliverEveryValue) {
 
 INSTANTIATE_TEST_SUITE_P(Batches, BatchSizeTest, ::testing::Values(1, 2, 16, 64));
 
+// The event kernel is serial: asking for lanes or worker threads must fail
+// loudly in every build type instead of silently running serially.
+TEST(ClusterDeathTest, ParallelKernelOptionsAbort) {
+  ClusterOptions lanes = options_for(Mode::kP4ce, 3);
+  lanes.lanes = 4;
+  EXPECT_DEATH(Cluster::create(lanes), "event kernel is serial");
+  ClusterOptions threads = options_for(Mode::kP4ce, 3);
+  threads.worker_threads = 2;
+  EXPECT_DEATH(Cluster::create(threads), "event kernel is serial");
+}
+
 }  // namespace
 }  // namespace p4ce

@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "obs/metrics.hpp"
 #include "rdma/cm.hpp"
 #include "rdma/nic.hpp"
 #include "sim/simulator.hpp"
@@ -53,10 +54,14 @@ TEST_F(NicFixture, TransmitRateBoundedByPerPacketCost) {
 }
 
 TEST_F(NicFixture, UnknownQpnCountsAsDrop) {
+  const obs::Counter& registry_drops =
+      obs::MetricsRegistry::global().counter("rdma.nic.no_qp_drops");
+  const u64 before = registry_drops.value();
   nic_a->send_packet(to_b(0x777));
   sim.run();
   EXPECT_EQ(nic_b->packets_received(), 1u);
   EXPECT_EQ(nic_b->packets_dropped(), 1u);
+  EXPECT_EQ(registry_drops.value() - before, 1u);
 }
 
 TEST_F(NicFixture, CreditsReflectReceiveBacklog) {
