@@ -62,43 +62,74 @@ void CommitSequencer::flush_all(Status status) {
 }
 
 // ---------------------------------------------------------------------------
+// DirectCommunicator
+// ---------------------------------------------------------------------------
+
+DirectCommunicator::DirectCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
+                                       const Calibration& cal,
+                                       std::vector<ReplicaTarget> targets)
+    : sim_(sim), cpu_(cpu), cal_(cal), targets_(std::move(targets)) {
+  wire_completions();
+}
+
+void DirectCommunicator::wire_completions() {
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    if (targets_[i].cq == nullptr) continue;
+    // The node's QPs outlive us on a re-route; their late completions must
+    // not reach a destroyed communicator.
+    targets_[i].cq->set_callback(
+        [this, i, alive = std::weak_ptr<char>(alive_)](const rdma::Completion& c) {
+          if (!alive.expired()) on_completion(i, c);
+        });
+  }
+}
+
+void DirectCommunicator::reset_targets(std::vector<ReplicaTarget> targets) {
+  targets_ = std::move(targets);
+  wire_completions();
+}
+
+u32 DirectCommunicator::live_target_count() const noexcept {
+  u32 n = 0;
+  for (const auto& t : targets_) n += t.excluded ? 0 : 1;
+  return n;
+}
+
+void DirectCommunicator::write_raw(u64 offset, Bytes bytes) {
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
+    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, bytes] {
+      if (i >= targets_.size()) return;
+      ReplicaTarget& target = targets_[i];
+      if (target.excluded || target.qp == nullptr) return;
+      std::ignore = target.qp->post_write(0, bytes, target.log_vaddr + offset,
+                                          target.log_rkey, /*signaled=*/false);
+    });
+  }
+}
+
+void DirectCommunicator::exclude_replica(NodeId id) {
+  for (auto& target : targets_) {
+    if (target.id == id) target.excluded = true;
+  }
+  fail_if_quorum_lost();
+}
+
+// ---------------------------------------------------------------------------
 // MuCommunicator
 // ---------------------------------------------------------------------------
 
 MuCommunicator::MuCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
                                const Calibration& cal, u32 f_needed,
                                std::vector<ReplicaTarget> targets)
-    : sim_(sim), cpu_(cpu), cal_(cal), f_needed_(f_needed), targets_(std::move(targets)) {
-  wire_completions();
-}
-
-void MuCommunicator::wire_completions() {
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].cq == nullptr) continue;
-    targets_[i].cq->set_callback(
-        [this, i](const rdma::Completion& c) { on_completion(i, c); });
-  }
-}
-
-void MuCommunicator::reset_targets(std::vector<ReplicaTarget> targets) {
-  targets_ = std::move(targets);
-  wire_completions();
-}
-
-u64 MuCommunicator::live_target_count() const noexcept {
-  u64 n = 0;
-  for (const auto& t : targets_) n += t.excluded ? 0 : 1;
-  return n;
-}
+    : DirectCommunicator(sim, cpu, cal, std::move(targets)), f_needed_(f_needed) {}
 
 void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
-  sequencer_.expect(seq, std::move(done));
-  pending_.emplace(seq, Pending{});
   if (live_target_count() < f_needed_) {
-    pending_.erase(seq);
-    sequencer_.mark_ready(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
+    done(error(StatusCode::kUnavailable, "quorum of replicas lost"));
     return;
   }
+  pending_.emplace(seq, Pending{0, std::move(done)});
   // The leader posts one write per replica; each post costs CPU time — this
   // serialization is exactly why "the leader divides its own network
   // capacity by the number of replicas" also costs it CPU (§I, §V-C).
@@ -147,50 +178,26 @@ void MuCommunicator::on_completion(std::size_t target_index, const rdma::Complet
   cpu_.execute(cal_.cpu_completion + cal_.cpu_mu_track, [this, seq = c.wr_id] {
     auto it = pending_.find(seq);
     if (it == pending_.end()) return;
-    if (++it->second.acks >= f_needed_ && !it->second.resolved) {
-      it->second.resolved = true;
+    DoneFn done;
+    if (++it->second.acks >= f_needed_ && it->second.done) {
+      done = std::move(it->second.done);
       if (obs::Tracer::is_enabled()) obs::Tracer::global().on_quorum(seq, sim_.now());
-      sequencer_.mark_ready(seq, Status::ok());
     }
     if (it->second.acks >= live_target_count()) pending_.erase(it);
+    if (done) done(Status::ok());
   });
 }
 
 void MuCommunicator::fail_if_quorum_lost() {
   if (live_target_count() >= f_needed_) return;
-  for (auto& [seq, op] : pending_) {
-    if (!op.resolved) {
-      op.resolved = true;
-      sequencer_.mark_ready(seq, error(StatusCode::kUnavailable, "quorum of replicas lost"));
-    }
-  }
+  auto pending = std::move(pending_);
   pending_.clear();
-}
-
-void MuCommunicator::write_raw(u64 offset, Bytes bytes) {
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, bytes] {
-      if (i >= targets_.size()) return;
-      ReplicaTarget& target = targets_[i];
-      if (target.excluded || target.qp == nullptr) return;
-      std::ignore = target.qp->post_write(0, bytes, target.log_vaddr + offset,
-                                          target.log_rkey, /*signaled=*/false);
-    });
+  for (auto& [seq, op] : pending) {
+    if (op.done) op.done(error(StatusCode::kUnavailable, "quorum of replicas lost"));
   }
 }
 
-void MuCommunicator::exclude_replica(NodeId id) {
-  for (auto& target : targets_) {
-    if (target.id == id) target.excluded = true;
-  }
-  fail_if_quorum_lost();
-}
-
-void MuCommunicator::abort_all() {
-  pending_.clear();
-  sequencer_.flush_all(error(StatusCode::kAborted, "replication aborted"));
-}
+void MuCommunicator::abort_all() { pending_.clear(); }
 
 // ---------------------------------------------------------------------------
 // P4ceCommunicator
@@ -291,16 +298,13 @@ void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) 
 }
 
 void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
-  sequencer_.expect(seq, std::move(done));
-
   if (state_ != State::kAccelerated) {
     // Un-accelerated path: identical to Mu.
-    fallback_.replicate(offset, entry, seq,
-                        [this, seq](Status st) { sequencer_.mark_ready(seq, std::move(st)); });
+    fallback_.replicate(offset, std::move(entry), seq, std::move(done));
     return;
   }
 
-  accel_pending_.emplace(seq, AccelOp{offset, entry, nullptr});
+  accel_pending_.emplace(seq, AccelOp{offset, entry, std::move(done)});
   const SimTime t_replicate = sim_.now();
   // One post, one future completion: the whole point of the design.
   cpu_.execute(cal_.cpu_post_wr, [this, offset, entry = std::move(entry), seq, t_replicate] {
@@ -336,12 +340,13 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
   cpu_.execute(cal_.cpu_completion, [this, seq = c.wr_id, t_ack] {
     auto it = accel_pending_.find(seq);
     if (it == accel_pending_.end()) return;
+    DoneFn done = std::move(it->second.done);
     accel_pending_.erase(it);
     ++accel_ops_;
     if (obs::Tracer::is_enabled()) {
       obs::Tracer::global().span(seq, "commit.cpu", t_ack, sim_.now());
     }
-    sequencer_.mark_ready(seq, Status::ok());
+    done(Status::ok());
   });
 }
 
@@ -363,10 +368,8 @@ void P4ceCommunicator::enter_fallback() {
   // the direct connections (idempotent: same bytes at the same offsets).
   auto pending = std::move(accel_pending_);
   accel_pending_.clear();
-  if (!pending.empty()) fallback_.set_start_seq(pending.begin()->first);
   for (auto& [seq, op] : pending) {
-    fallback_.replicate(op.offset, std::move(op.entry), seq,
-                        [this, seq = seq](Status st) { sequencer_.mark_ready(seq, std::move(st)); });
+    fallback_.replicate(op.offset, std::move(op.entry), seq, std::move(op.done));
   }
   // Entries committed with f *other* ACKs may be missing at the replica
   // that NAK'd; the node refills them from its log over the direct path.
@@ -429,12 +432,9 @@ void P4ceCommunicator::exclude_replica(NodeId id) {
       /*timeout=*/100'000'000);
 }
 
-std::size_t P4ceCommunicator::outstanding() const noexcept { return sequencer_.outstanding(); }
-
 void P4ceCommunicator::abort_all() {
   accel_pending_.clear();
   fallback_.abort_all();
-  sequencer_.flush_all(error(StatusCode::kAborted, "replication aborted"));
 }
 
 bool P4ceCommunicator::member_set_grew() const {
@@ -461,11 +461,6 @@ void P4ceCommunicator::reset_targets(std::vector<ReplicaTarget> targets) {
     enter_fallback();
     activate(term_, nullptr);
   }
-}
-
-void P4ceCommunicator::set_start_seq(u64 seq) {
-  sequencer_.set_next(seq);
-  fallback_.set_start_seq(seq);
 }
 
 }  // namespace p4ce::consensus

@@ -88,9 +88,6 @@ class Node {
   u64 commits() const noexcept { return commits_; }
   u64 delivered() const noexcept { return delivered_; }
   u64 last_delivered_seq() const noexcept { return reader_ ? reader_->last_seq() : 0; }
-  std::size_t outstanding() const noexcept {
-    return communicator_ ? communicator_->outstanding() : 0;
-  }
   bool crashed() const noexcept { return crashed_; }
 
   // --- Failure injection & instrumentation hooks -------------------------------
@@ -170,6 +167,11 @@ class Node {
   void finish_recovery(u64 max_seq, u64 tail_offset);
   void on_peer_died(u32 peer_index);
 
+  // Proposals.
+  Status propose_values(std::vector<Bytes> values, bool batched, CommitFn done);
+  /// Fail every op in flight (stepping down / rerouting).
+  void abort_inflight();
+
   // Log delivery.
   void reconcile_replicas();
   void repair_replicas();
@@ -225,6 +227,9 @@ class Node {
   // Proposer state.
   u64 next_seq_ = 1;    ///< next log entry sequence number
   u64 next_op_ = 1;     ///< next communicator operation id
+  /// Releases commit callbacks in op order, whatever order the
+  /// communicator resolves them in.
+  CommitSequencer sequencer_;
   u64 commits_ = 0;
   u64 delivered_ = 0;
   bool deliver_scheduled_ = false;
