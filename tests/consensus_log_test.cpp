@@ -3,6 +3,7 @@
 // record used for leader recovery.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -140,6 +141,49 @@ TEST_F(LogFixture, StaleBytesFromPreviousLapNotRedelivered) {
   const u64 count_before = delivered.size();
   EXPECT_EQ(reader->poll(), 0u);
   EXPECT_EQ(delivered.size(), count_before);
+}
+
+TEST(LogLaps, TornEntryAfterWrapWaitsForItsLastChunk) {
+  // A replica's log receives each entry as a stream of MTU-sized chunks.
+  // After a wrap, the chunk carrying an entry's header can land over the
+  // previous lap's entry of the same size; that entry's commit marker must
+  // not make the half-written one visible.
+  rdma::MemoryManager mm(1);
+  auto& leader = mm.register_region(1024, rdma::kAccessRemoteWrite);
+  auto& replica = mm.register_region(1024, rdma::kAccessRemoteWrite);
+  LogWriter writer(leader);
+  std::vector<LogEntry> delivered;
+  LogReader reader(replica, [&](const LogEntry& e) { delivered.push_back(e); });
+  auto land = [&](u64 offset, const Bytes& bytes, u64 from, u64 to) {
+    std::memcpy(replica.bytes() + offset + from, bytes.data() + from, to - from);
+  };
+
+  // Lap 1: seven 128-byte entries fill the 1 KiB ring.
+  u64 seq = 0;
+  for (int i = 0; i < 7; ++i) {
+    const auto append = writer.append(++seq, 1, Bytes(100, 1));
+    ASSERT_TRUE(append.is_ok());
+    ASSERT_FALSE(append.value().wrap);
+    land(append.value().offset, append.value().bytes, 0, append.value().bytes.size());
+  }
+  EXPECT_EQ(reader.poll(), 7u);
+
+  // Lap 2's first entry wraps onto lap 1's first entry.
+  const auto append = writer.append(++seq, 1, Bytes(100, 2));
+  ASSERT_TRUE(append.is_ok());
+  ASSERT_TRUE(append.value().wrap);
+  ASSERT_EQ(append.value().offset, 0u);
+  const auto& [wrap_offset, wrap] = *append.value().wrap;
+  land(wrap_offset, wrap, 0, wrap.size());
+  const Bytes& entry = append.value().bytes;
+  ASSERT_EQ(entry.size(), 128u);
+  land(0, entry, 0, 64);  // header and the first part of the payload
+  EXPECT_EQ(reader.poll(), 0u);
+  land(0, entry, 64, entry.size());
+  EXPECT_EQ(reader.poll(), 1u);
+  ASSERT_EQ(delivered.size(), 8u);
+  EXPECT_EQ(delivered.back().seq, 8u);
+  EXPECT_EQ(delivered.back().payload, Bytes(100, 2));
 }
 
 TEST(Progress, StoreLoadRoundTrip) {

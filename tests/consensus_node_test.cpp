@@ -63,6 +63,29 @@ TEST_P(ModeTest, NonLeaderProposeRejected) {
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_P(ModeTest, RejectedProposalsDoNotStallDelivery) {
+  // An oversize value is refused by the log, alone or inside a batch; it
+  // must consume no seq, or every reader would wait for it forever.
+  auto cluster = make(GetParam(), 3);
+  std::vector<Status> results;
+  auto record = [&](Status st, u64) { results.push_back(std::move(st)); };
+  ASSERT_TRUE(cluster->node(0).propose(Bytes(kMaxEntryPayload + 1, 1), record).is_ok());
+  std::vector<Bytes> batch;
+  batch.emplace_back(8, 2);
+  batch.emplace_back(kMaxEntryPayload + 1, 3);
+  ASSERT_TRUE(cluster->node(0).propose_batch(std::move(batch), record).is_ok());
+  ASSERT_TRUE(cluster->node(0).propose(to_bytes("after"), record).is_ok());
+  cluster->run_for(milliseconds(5));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(results[1].code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(results[2].is_ok());
+  for (u32 i = 0; i < 3; ++i) {
+    EXPECT_EQ(cluster->node(i).last_delivered_seq(), 1u) << "node " << i;
+    EXPECT_EQ(cluster->node(i).delivered(), 1u) << "node " << i;
+  }
+}
+
 TEST_P(ModeTest, LogsAreByteIdenticalAfterLoad) {
   auto cluster = make(GetParam(), 3);
   for (int k = 0; k < 200; ++k) {
@@ -206,9 +229,15 @@ TEST_P(ModeTest, UsurperWritesAreNakedByPermissions) {
   EXPECT_EQ(cluster->node(1).delivered(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, ModeTest, ::testing::Values(Mode::kMu, Mode::kP4ce),
+INSTANTIATE_TEST_SUITE_P(Modes, ModeTest,
+                         ::testing::Values(Mode::kMu, Mode::kP4ce, Mode::kOneSided),
                          [](const ::testing::TestParamInfo<Mode>& info) {
-                           return info.param == Mode::kMu ? "Mu" : "P4ce";
+                           switch (info.param) {
+                             case Mode::kMu: return "Mu";
+                             case Mode::kP4ce: return "P4ce";
+                             case Mode::kOneSided: return "OneSided";
+                           }
+                           return "Unknown";
                          });
 
 TEST(Heartbeat, DetectionLatencyIsAboutTheLivenessTimeout) {

@@ -1,6 +1,7 @@
 // The Velos-style one-sided Paxos backend end to end: fast-quorum commits in
-// one broadcast-CAS round trip, classic-quorum recovery when a slot CAS
-// loses, and ballot takeover on leader crash. Run-to-run determinism of the
+// one broadcast-CAS round trip (also after the slot ring wraps),
+// classic-quorum recovery when a slot CAS loses, and ballot takeover on
+// leader crash. Run-to-run determinism of the
 // backend is covered by determinism_test.
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "consensus/one_sided.hpp"
 #include "core/cluster.hpp"
+#include "workload/generators.hpp"
 
 namespace p4ce {
 namespace {
@@ -64,6 +66,20 @@ TEST(OneSidedPaxos, FastQuorumCommitsAndDeliversEverywhere) {
   // The replicas' slot registers carry the leader's ballot.
   EXPECT_EQ(register_word(cluster->node(1), consensus::kOneSidedSlotsOffset) >> 48,
             comm->ballot());
+}
+
+TEST(OneSidedPaxos, SlotRingWrapStaysOnTheFastPath) {
+  // Over one lap of the slot ring: every reused slot holds this regime's
+  // word from one lap back, which the fast CAS expects.
+  auto cluster = Cluster::create(one_sided_options(3));
+  ASSERT_TRUE(cluster->start());
+  const u64 ops = consensus::kOneSidedSlotCount + consensus::kOneSidedSlotCount / 4;
+  const auto result = workload::run_closed_loop(*cluster, 64, 16, ops, 0);
+  EXPECT_EQ(result.operations, ops);
+  EXPECT_EQ(result.failed, 0u);
+  auto* comm = comm_of(cluster->node(0));
+  EXPECT_EQ(comm->fast_path_commits(), ops);
+  EXPECT_EQ(comm->slow_path_commits(), 0u);
 }
 
 TEST(OneSidedPaxos, DirtySlotFallsBackToClassicQuorum) {
