@@ -2,7 +2,8 @@
 # Tier-1 verification: the regular build + full test suite, a perf smoke of
 # the simulation substrate (event kernel and scatter path must stay within
 # 20% of the checked-in baselines — see scripts/perf_smoke.py), then the
-# test suite again under AddressSanitizer + UBSan (separate build tree).
+# whole test suite again under strict AddressSanitizer + UBSan (separate
+# build tree; see P4CE_SANITIZE in CMakeLists.txt).
 #
 # Usage: scripts/check.sh [--no-sanitize] [--no-perf]
 set -euo pipefail
@@ -36,14 +37,10 @@ if [[ "$perf" == 1 ]]; then
 fi
 
 if [[ "$sanitize" == 1 ]]; then
-  echo "== asan/ubsan: build + ctest =="
+  echo "== asan/ubsan (strict): build + full ctest =="
   cmake -B build-asan -S . -DP4CE_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
-  cmake --build build-asan -j "$jobs" --target \
-    common_test obs_test sim_test net_test payload_test rdma_memory_test rdma_qp_test \
-    rdma_cm_test switch_test p4ce_dataplane_test p4ce_controlplane_test \
-    consensus_log_test consensus_node_test e2e_test determinism_test
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'common_test|obs_test|sim_test|net_test|payload_test|rdma_memory_test|rdma_qp_test|rdma_cm_test|switch_test|p4ce_dataplane_test|p4ce_controlplane_test|consensus_log_test|consensus_node_test|e2e_test|determinism_test'
+  cmake --build build-asan -j "$jobs"
+  ctest --test-dir build-asan --output-on-failure -j "$jobs"
 fi
 
 echo "== check.sh: all green =="

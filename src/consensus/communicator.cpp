@@ -145,10 +145,8 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
       if (obs::Tracer::is_enabled()) {
         // One CPU-serialized post per replica: this per-target span is the
         // leader-capacity division the P4CE scatter removes (§V-C). The last
-        // post wins the attribution mark (mark_post_done keeps the max).
-        obs::Tracer::global().span(seq, "leader.post", t_replicate, sim_.now(), "replica",
-                                   target.id);
-        obs::Tracer::global().mark_post_done(seq, sim_.now());
+        // post is the attribution boundary.
+        obs::Tracer::global().post_done(seq, t_replicate, sim_.now(), target.id);
       }
       const Status st =
           target.qp->post_write(seq, entry, target.log_vaddr + offset, target.log_rkey);
@@ -316,8 +314,7 @@ void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) 
       const u32 npkts =
           entry.empty() ? 1 : (static_cast<u32>(entry.size()) + cal_.mtu - 1) / cal_.mtu;
       tracer.map_wire(seq, switch_qp_->planned_next_psn(), npkts, bcast_qpn_);
-      tracer.span(seq, "leader.post", t_replicate, sim_.now());
-      tracer.mark_post_done(seq, sim_.now());
+      tracer.post_done(seq, t_replicate, sim_.now());
     }
     const Status st =
         switch_qp_->post_write(seq, std::move(entry), virtual_base_ + offset, virtual_rkey_);
@@ -333,19 +330,14 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
     return;
   }
   const SimTime t_ack = sim_.now();
-  if (obs::Tracer::is_enabled()) {
-    obs::Tracer::global().instant(c.wr_id, "leader.ack_rx", t_ack);
-    obs::Tracer::global().mark_ack_rx(c.wr_id, t_ack);
-  }
+  if (obs::Tracer::is_enabled()) obs::Tracer::global().ack_rx(c.wr_id, t_ack);
   cpu_.execute(cal_.cpu_completion, [this, seq = c.wr_id, t_ack] {
     auto it = accel_pending_.find(seq);
     if (it == accel_pending_.end()) return;
     DoneFn done = std::move(it->second.done);
     accel_pending_.erase(it);
     ++accel_ops_;
-    if (obs::Tracer::is_enabled()) {
-      obs::Tracer::global().span(seq, "commit.cpu", t_ack, sim_.now());
-    }
+    if (obs::Tracer::is_enabled()) obs::Tracer::global().commit_done(seq, t_ack, sim_.now());
     done(Status::ok());
   });
 }

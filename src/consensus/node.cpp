@@ -772,12 +772,8 @@ Status Node::propose_values(std::vector<Bytes> values, bool batched, CommitFn do
     if (obs::Tracer::is_enabled()) {
       auto& tracer = obs::Tracer::global();
       tracer.begin_round(op, t_propose);
-      if (batched) {
-        tracer.span(op, "propose", t_propose, sim_.now(), "batch", values.size());
-      } else {
-        tracer.span(op, "propose", t_propose, sim_.now(), "seq", first_seq);
-      }
-      tracer.mark_propose_done(op, sim_.now());
+      tracer.propose_done(op, t_propose, sim_.now(), batched ? "batch" : "seq",
+                          batched ? values.size() : first_seq);
     }
     sequencer_.expect(op, [this, last_seq, op, t_propose, n = values.size(),
                            done = std::move(done)](Status st) {

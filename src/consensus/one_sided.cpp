@@ -269,9 +269,7 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn do
       }
       ReplicaTarget& target = targets_[i];
       if (obs::Tracer::is_enabled()) {
-        obs::Tracer::global().span(seq, "leader.post", t_replicate, sim_.now(), "replica",
-                                   target.id);
-        obs::Tracer::global().mark_post_done(seq, sim_.now());
+        obs::Tracer::global().post_done(seq, t_replicate, sim_.now(), target.id);
       }
       // Unsignaled entry write, then the signaled slot atomic on the same
       // QP: RC ordering makes the atomic's response prove the write landed,
@@ -479,9 +477,10 @@ void OneSidedCommunicator::commit(OpState& op, u64 seq, bool fast) {
   }
   if (obs::Tracer::is_enabled()) {
     auto& tracer = obs::Tracer::global();
+    // The quorum-completing ACK is the leader's ACK arrival: there is no
+    // aggregated ACK still to cross the wire.
     tracer.on_quorum(seq, last_ack_);
-    tracer.mark_ack_rx(seq, last_ack_);
-    tracer.span(seq, "commit.cpu", last_ack_, sim_.now());
+    tracer.commit_done(seq, last_ack_, sim_.now());
   }
   resolve(op, Status::ok());
 }

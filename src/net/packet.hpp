@@ -112,9 +112,6 @@ class Link {
   void restore() noexcept { cut_ = false; }
   bool is_cut() const noexcept { return cut_; }
 
-  double bandwidth_gbps() const noexcept { return bandwidth_gbps_; }
-  Duration propagation_delay() const noexcept { return propagation_; }
-
   /// Total payload-carrying bytes sent per direction (wire bytes).
   u64 wire_bytes_sent(int from) const noexcept { return wire_bytes_[from]; }
   u64 packets_sent(int from) const noexcept { return packets_[from]; }

@@ -1,9 +1,8 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
 
 namespace p4ce::obs {
 
@@ -79,29 +78,19 @@ const char* LatencyAttribution::stage_name(Stage s) noexcept {
 
 namespace {
 
-void append_num(std::string& out, double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) && v < 1e15 && v > -1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  }
-  out += buf;
-}
-
 void append_hist(std::string& out, const LatencyHistogram& h) {
   out += "{\"count\": ";
-  append_num(out, static_cast<double>(h.count()));
+  append_json_number(out, static_cast<double>(h.count()));
   out += ", \"mean_ns\": ";
-  append_num(out, h.mean_ns());
+  append_json_number(out, h.mean_ns());
   out += ", \"p50_ns\": ";
-  append_num(out, h.p50_ns());
+  append_json_number(out, h.p50_ns());
   out += ", \"p99_ns\": ";
-  append_num(out, h.p99_ns());
+  append_json_number(out, h.p99_ns());
   out += ", \"p999_ns\": ";
-  append_num(out, h.p999_ns());
+  append_json_number(out, h.p999_ns());
   out += ", \"max_ns\": ";
-  append_num(out, h.max_ns());
+  append_json_number(out, h.max_ns());
   out += "}";
 }
 
@@ -109,9 +98,9 @@ void append_hist(std::string& out, const LatencyHistogram& h) {
 
 void LatencyAttribution::append_json(std::string& out) const {
   out += "{\n    \"rounds\": ";
-  append_num(out, static_cast<double>(rounds_));
+  append_json_number(out, static_cast<double>(rounds_));
   out += ",\n    \"committed\": ";
-  append_num(out, static_cast<double>(committed_));
+  append_json_number(out, static_cast<double>(committed_));
   out += ",\n    \"dominant_stage\": ";
   append_json_escaped(out, stage_name(dominant_stage()));
   out += ",\n    \"total\": ";
@@ -124,7 +113,7 @@ void LatencyAttribution::append_json(std::string& out) const {
     append_hist(out, stages_[s]);
     out.pop_back();  // reopen the histogram object to append the tally
     out += ", \"dominant\": ";
-    append_num(out, static_cast<double>(dominant_[s]));
+    append_json_number(out, static_cast<double>(dominant_[s]));
     out += "}";
   }
   out += "\n    }\n  }";

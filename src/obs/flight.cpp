@@ -1,8 +1,8 @@
 #include "obs/flight.hpp"
 
-#include <cstdio>
+#include <algorithm>
 
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace p4ce::obs {
@@ -55,45 +55,31 @@ bool FlightRecorder::trigger(const char* kind, SimTime at, const char* detail_na
   return true;
 }
 
-namespace {
-
-void append_num(std::string& out, double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) && v < 1e15 && v > -1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  }
-  out += buf;
-}
-
-}  // namespace
-
-void FlightRecorder::append_json(std::string& out) const {
-  out += "{\n\"schema\": \"p4ce-flight-v1\",\n\"dropped\": ";
-  append_num(out, static_cast<double>(dropped_));
+std::string FlightRecorder::to_json() const {
+  std::string out = "{\n\"schema\": \"p4ce-flight-v1\",\n\"dropped\": ";
+  append_json_number(out, static_cast<double>(dropped_));
   out += ",\n\"captures\": [";
   for (std::size_t c = 0; c < captures_.size(); ++c) {
     const Capture& capture = captures_[c];
     out += c == 0 ? "\n{\n  \"kind\": " : ",\n{\n  \"kind\": ";
     append_json_escaped(out, capture.kind);
     out += ",\n  \"at_ns\": ";
-    append_num(out, static_cast<double>(capture.at));
+    append_json_number(out, static_cast<double>(capture.at));
     if (!capture.detail_name.empty()) {
       out += ",\n  ";
       append_json_escaped(out, capture.detail_name);
       out += ": ";
-      append_num(out, static_cast<double>(capture.detail));
+      append_json_number(out, static_cast<double>(capture.detail));
     }
     out += ",\n  \"rounds_in_flight\": [";
     for (std::size_t r = 0; r < capture.rounds.size(); ++r) {
       if (r != 0) out += ", ";
       out += "{\"domain\": ";
-      append_num(out, trace_domain(capture.rounds[r].key));
+      append_json_number(out, trace_domain(capture.rounds[r].key));
       out += ", \"instance\": ";
-      append_num(out, static_cast<double>(trace_op(capture.rounds[r].key)));
+      append_json_number(out, static_cast<double>(trace_op(capture.rounds[r].key)));
       out += ", \"start_ns\": ";
-      append_num(out, static_cast<double>(capture.rounds[r].start));
+      append_json_number(out, static_cast<double>(capture.rounds[r].start));
       out += "}";
     }
     out += "],\n  ";
@@ -101,15 +87,7 @@ void FlightRecorder::append_json(std::string& out) const {
     out += "\n}";
   }
   out += "\n]\n}\n";
-}
-
-bool FlightRecorder::write_json(const std::string& path) const {
-  std::string out;
-  append_json(out);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
+  return out;
 }
 
 }  // namespace p4ce::obs

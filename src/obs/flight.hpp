@@ -73,8 +73,7 @@ class FlightRecorder {
   /// {"schema": "p4ce-flight-v1", "dropped": .., "captures": [
   ///   {"kind": .., "at_ns": .., "detail": {..}, "rounds": [..],
   ///    "series": [..], "frames": [[t_ns, epoch, ...], ...]}, ...]}
-  void append_json(std::string& out) const;
-  bool write_json(const std::string& path) const;
+  std::string to_json() const;
 
  private:
   static inline bool g_enabled_ = false;

@@ -1,7 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace p4ce::obs {
 
@@ -101,40 +102,6 @@ std::size_t MetricsRegistry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-namespace {
-void append_number(std::string& out, double v) {
-  char buf[64];
-  // Integral values print without a fractional part so counters stay exact.
-  if (v == static_cast<double>(static_cast<long long>(v)) && v < 1e15 && v > -1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-  }
-  out += buf;
-}
-}  // namespace
-
 void append_snapshot_json(std::string& out, const MetricsRegistry::Snapshot& snapshot) {
   out += '{';
   bool first = true;
@@ -147,48 +114,32 @@ void append_snapshot_json(std::string& out, const MetricsRegistry::Snapshot& sna
     switch (s.kind) {
       case MetricsRegistry::Series::Kind::kCounter:
         out += "\"type\": \"counter\", \"value\": ";
-        append_number(out, static_cast<double>(s.count));
+        append_json_number(out, static_cast<double>(s.count));
         break;
       case MetricsRegistry::Series::Kind::kGauge:
         out += "\"type\": \"gauge\", \"value\": ";
-        append_number(out, s.value);
+        append_json_number(out, s.value);
         out += ", \"high_water\": ";
-        append_number(out, s.high_water);
+        append_json_number(out, s.high_water);
         break;
       case MetricsRegistry::Series::Kind::kHistogram:
         out += "\"type\": \"histogram\", \"count\": ";
-        append_number(out, static_cast<double>(s.count));
+        append_json_number(out, static_cast<double>(s.count));
         out += ", \"mean\": ";
-        append_number(out, s.mean);
+        append_json_number(out, s.mean);
         out += ", \"p50\": ";
-        append_number(out, s.p50);
+        append_json_number(out, s.p50);
         out += ", \"p99\": ";
-        append_number(out, s.p99);
+        append_json_number(out, s.p99);
         out += ", \"min\": ";
-        append_number(out, s.min);
+        append_json_number(out, s.min);
         out += ", \"max\": ";
-        append_number(out, s.max);
+        append_json_number(out, s.max);
         break;
     }
     out += '}';
   }
   out += "\n  }";
-}
-
-std::string MetricsRegistry::to_json() const {
-  std::string out;
-  append_snapshot_json(out, snapshot());
-  return out;
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  std::string out = "{\n  \"metrics\": ";
-  append_snapshot_json(out, snapshot());
-  out += "\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace p4ce::obs

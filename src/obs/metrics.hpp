@@ -99,22 +99,14 @@ class MetricsRegistry {
 
   std::size_t size() const;
 
-  /// Snapshot serialized as a JSON object: {"name": {"type": ..., ...}}.
-  std::string to_json() const;
-  /// Write {"metrics": {...}} to `path`; returns false on I/O failure.
-  bool write_json(const std::string& path) const;
-
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
 };
 
-/// Append `snapshot` rendered as a JSON object (no surrounding braces key)
-/// to `out`. Shared by the registry and the bench exporter.
+/// Append `snapshot` rendered as a JSON object, {"name": {"type": ..., ...}},
+/// to `out` (the "metrics" block of BENCH_*.json).
 void append_snapshot_json(std::string& out, const MetricsRegistry::Snapshot& snapshot);
-
-/// Minimal JSON string escaping for names and table cells.
-void append_json_escaped(std::string& out, std::string_view s);
 
 }  // namespace p4ce::obs

@@ -1,8 +1,8 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace p4ce::obs {
@@ -72,20 +72,6 @@ std::vector<Sampler::Frame> Sampler::last_frames(std::size_t n) const {
   return std::vector<Frame>(ring_.end() - static_cast<std::ptrdiff_t>(take), ring_.end());
 }
 
-namespace {
-
-void append_num(std::string& out, double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) && v < 1e15 && v > -1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  }
-  out += buf;
-}
-
-}  // namespace
-
 void Sampler::append_frames_json(std::string& out, const std::vector<std::string>& names,
                                  const std::vector<Frame>& frames) {
   out += "\"series\": [";
@@ -96,13 +82,13 @@ void Sampler::append_frames_json(std::string& out, const std::vector<std::string
   out += "],\n  \"frames\": [";
   for (std::size_t f = 0; f < frames.size(); ++f) {
     out += f == 0 ? "\n    [" : ",\n    [";
-    append_num(out, static_cast<double>(frames[f].at));
+    append_json_number(out, static_cast<double>(frames[f].at));
     out += ", ";
-    append_num(out, frames[f].epoch);
+    append_json_number(out, frames[f].epoch);
     for (std::size_t c = 0; c < names.size(); ++c) {
       out += ", ";
       if (c < frames[f].values.size()) {
-        append_num(out, frames[f].values[c]);
+        append_json_number(out, frames[f].values[c]);
       } else {
         out += "null";
       }
@@ -112,21 +98,13 @@ void Sampler::append_frames_json(std::string& out, const std::vector<std::string
   out += "\n  ]";
 }
 
-void Sampler::append_json(std::string& out) const {
-  out += "{\n  \"schema\": \"p4ce-series-v1\",\n  \"period_ns\": ";
-  append_num(out, static_cast<double>(period_));
+std::string Sampler::to_json() const {
+  std::string out = "{\n  \"schema\": \"p4ce-series-v1\",\n  \"period_ns\": ";
+  append_json_number(out, static_cast<double>(period_));
   out += ",\n  ";
   append_frames_json(out, series_names(), frames());
   out += "\n}\n";
-}
-
-bool Sampler::write_json(const std::string& path) const {
-  std::string out;
-  append_json(out);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
+  return out;
 }
 
 // ---------------------------------------------------------------------------

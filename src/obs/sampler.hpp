@@ -80,11 +80,10 @@ class Sampler {
   /// {"schema": "p4ce-series-v1", "period_ns": .., "series": [..],
   ///  "frames": [[t_ns, epoch, v0, v1, ...], ...]} — short frames padded
   ///  with null to the full column count.
-  void append_json(std::string& out) const;
-  bool write_json(const std::string& path) const;
+  std::string to_json() const;
 
   /// Render a frame list (e.g. a flight-recorder capture) with the given
-  /// column names using the same row layout as append_json().
+  /// column names using the same row layout as to_json().
   static void append_frames_json(std::string& out, const std::vector<std::string>& names,
                                  const std::vector<Frame>& frames);
 

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "obs/attribution.hpp"
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
 
 namespace p4ce::obs {
 
@@ -67,17 +67,6 @@ void Tracer::begin_round(u64 instance, SimTime start) {
   active_.push_back(round);
 }
 
-void Tracer::span(u64 instance, const char* name, SimTime start, SimTime end,
-                  const char* arg_name, u64 arg) {
-  if (find_round(instance) == nullptr) return;
-  push(Event{instance, name, start, std::max<Duration>(end - start, 0), arg_name, arg});
-}
-
-void Tracer::instant(u64 instance, const char* name, SimTime at, const char* arg_name, u64 arg) {
-  if (find_round(instance) == nullptr) return;
-  push(Event{instance, name, at, -1, arg_name, arg});
-}
-
 void Tracer::map_wire(u64 instance, Psn first_psn, u32 npkts, Qpn qpn) {
   Round* round = find_round(instance);
   if (round == nullptr) return;
@@ -97,22 +86,39 @@ u64 Tracer::instance_for_psn(Psn psn, Qpn qpn) const noexcept {
   return 0;
 }
 
-void Tracer::mark_propose_done(u64 instance, SimTime at) {
-  Round* round = find_round(instance);
-  if (round == nullptr) return;
-  round->propose_end = std::max(round->propose_end, at);
+void Tracer::push_span(u64 instance, const char* name, SimTime start, SimTime end,
+                       const char* arg_name, u64 arg) {
+  push(Event{instance, name, start, std::max<Duration>(end - start, 0), arg_name, arg});
 }
 
-void Tracer::mark_post_done(u64 instance, SimTime at) {
+void Tracer::propose_done(u64 instance, SimTime start, SimTime end, const char* arg_name,
+                          u64 arg) {
   Round* round = find_round(instance);
   if (round == nullptr) return;
-  round->post_end = std::max(round->post_end, at);
+  round->propose_end = std::max(round->propose_end, end);
+  push_span(instance, "propose", start, end, arg_name, arg);
 }
 
-void Tracer::mark_ack_rx(u64 instance, SimTime at) {
+void Tracer::post_done(u64 instance, SimTime start, SimTime end, std::optional<u32> replica) {
+  Round* round = find_round(instance);
+  if (round == nullptr) return;
+  round->post_end = std::max(round->post_end, end);
+  push_span(instance, "leader.post", start, end, replica ? "replica" : nullptr,
+            replica.value_or(0));
+}
+
+void Tracer::ack_rx(u64 instance, SimTime at) {
   Round* round = find_round(instance);
   if (round == nullptr) return;
   if (round->ack_rx < 0) round->ack_rx = at;
+  push(Event{instance, "leader.ack_rx", at, -1, nullptr, 0});
+}
+
+void Tracer::commit_done(u64 instance, SimTime start, SimTime end) {
+  Round* round = find_round(instance);
+  if (round == nullptr) return;
+  if (round->ack_rx < 0) round->ack_rx = start;
+  push_span(instance, "commit.cpu", start, end);
 }
 
 void Tracer::on_scatter(u64 instance, SimTime at) {
@@ -193,8 +199,8 @@ std::vector<Tracer::InFlight> Tracer::active_rounds() const {
 
 namespace {
 
-void append_event_json(std::string& out, const Tracer* /*tracer*/, u64 tid, const char* name,
-                       SimTime start, Duration dur, u64 instance, const char* arg_name, u64 arg) {
+void append_event_json(std::string& out, u64 tid, const char* name, SimTime start, Duration dur,
+                       u64 instance, const char* arg_name, u64 arg) {
   char buf[96];
   out += "  {\"name\": ";
   append_json_escaped(out, name);
@@ -270,19 +276,11 @@ std::string Tracer::to_chrome_json() const {
   }
   for (const Event* e : ordered) {
     out += ",\n";
-    append_event_json(out, this, tid_of(e->instance), e->name, e->start, e->dur, e->instance,
+    append_event_json(out, tid_of(e->instance), e->name, e->start, e->dur, e->instance,
                       e->arg_name, e->arg);
   }
   out += "\n]\n}\n";
   return out;
-}
-
-bool Tracer::write_chrome_trace(const std::string& path) const {
-  const std::string out = to_chrome_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace p4ce::obs

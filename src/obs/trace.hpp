@@ -28,6 +28,7 @@
 // (`sample_every`) and the event buffer is bounded (`max_events`).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,15 +104,6 @@ class Tracer {
   /// entered the node (queueing ahead of the leader CPU counts).
   void begin_round(u64 instance, SimTime start);
 
-  /// Record a closed child span of a sampled round. No-op for untraced
-  /// instances, so call sites don't need their own sampled() check.
-  void span(u64 instance, const char* name, SimTime start, SimTime end,
-            const char* arg_name = nullptr, u64 arg = 0);
-
-  /// Record a point event within a sampled round.
-  void instant(u64 instance, const char* name, SimTime at,
-               const char* arg_name = nullptr, u64 arg = 0);
-
   /// Register the wire footprint of a sampled round: the posted write
   /// occupies PSNs [first_psn, first_psn + npkts) on the leader's stream
   /// toward `qpn` (0 when the destination QP is unknown / unique).
@@ -123,14 +115,29 @@ class Tracer {
   /// data plane, where concurrent domains carry overlapping PSN ranges.
   u64 instance_for_psn(Psn psn, Qpn qpn = 0) const noexcept;
 
-  // --- Stage boundaries (attribution marks; no event emitted) -----------
+  // --- Stage boundaries (leader side, one call per boundary) ------------
+  //
+  // Each hook both sets the boundary the attribution sink reads and records
+  // the matching Chrome event. Untraced instances make them no-ops, so call
+  // sites need no sampled() check of their own.
 
-  /// The leader's decision CPU finished preparing the round.
-  void mark_propose_done(u64 instance, SimTime at);
-  /// The (last) replication write was handed to the NIC.
-  void mark_post_done(u64 instance, SimTime at);
-  /// The aggregated/accepting ACK arrived back at the leader NIC.
-  void mark_ack_rx(u64 instance, SimTime at);
+  /// The leader's decision CPU finished preparing the round: a "propose"
+  /// span over [start, end], optionally tagged (e.g. "seq" or "batch").
+  void propose_done(u64 instance, SimTime start, SimTime end, const char* arg_name = nullptr,
+                    u64 arg = 0);
+  /// A replication write was handed to the NIC: a "leader.post" span. A
+  /// leader posting once per replica tags each span with the `replica` id;
+  /// its last post is the boundary.
+  void post_done(u64 instance, SimTime start, SimTime end,
+                 std::optional<u32> replica = std::nullopt);
+  /// The aggregated ACK arrived back at the leader NIC: a "leader.ack_rx"
+  /// instant.
+  void ack_rx(u64 instance, SimTime at);
+  /// The leader's commit CPU finished: a "commit.cpu" span from `start`, the
+  /// ACK's arrival at the leader. When no ack_rx() preceded it (one-sided,
+  /// whose quorum-completing ACK is that arrival) `start` is also the
+  /// ack_rx boundary.
+  void commit_done(u64 instance, SimTime start, SimTime end);
 
   // --- Switch-side aggregates (folded into spans at end_round) ----------
 
@@ -157,8 +164,6 @@ class Tracer {
   /// Serialize everything recorded so far as Chrome trace-event JSON
   /// (one track per traced instance; spans nest by time containment).
   std::string to_chrome_json() const;
-  /// Write to_chrome_json() to `path`; returns false on I/O failure.
-  bool write_chrome_trace(const std::string& path) const;
 
  private:
   struct Event {
@@ -184,6 +189,8 @@ class Tracer {
 
   Round* find_round(u64 instance) noexcept;
   void push(Event event);
+  void push_span(u64 instance, const char* name, SimTime start, SimTime end,
+                 const char* arg_name = nullptr, u64 arg = 0);
 
   static inline bool g_enabled_ = false;
   bool events_on_ = false;

@@ -12,7 +12,7 @@ Status MemoryRegion::remote_write(u64 vaddr, BytesView data) {
     return error(StatusCode::kPermissionDenied, "write outside registered region");
   }
   const u64 offset = vaddr - vaddr_;
-  std::memcpy(data_.data() + offset, data.data(), data.size());
+  if (!data.empty()) std::memcpy(data_.data() + offset, data.data(), data.size());
   if (write_hook_) write_hook_(offset, data.size());
   return Status::ok();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -79,11 +80,13 @@ void QueuePair::set_error(WcStatus flush_status) {
   state_ = QpState::kError;
   retransmit_timer_.cancel();
   QpMetrics::get().inflight.add(-static_cast<double>(inflight_.size()));
-  // Flush everything outstanding, oldest first, as a real QP would.
-  for (auto& wqe : inflight_) complete(wqe, flush_status);
-  inflight_.clear();
-  for (auto& wqe : send_queue_) complete(wqe, WcStatus::kFlushed);
-  send_queue_.clear();
+  // Flush everything outstanding, oldest first, as a real QP would. The
+  // queues move out first: a completion callback may reset() or repost on
+  // this QP while the flush is still running.
+  const std::deque<Wqe> inflight = std::exchange(inflight_, {});
+  const std::deque<Wqe> queued = std::exchange(send_queue_, {});
+  for (const auto& wqe : inflight) complete(wqe, flush_status);
+  for (const auto& wqe : queued) complete(wqe, WcStatus::kFlushed);
   if (error_cb_) error_cb_(flush_status);
 }
 

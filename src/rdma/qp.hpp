@@ -115,7 +115,6 @@ class QueuePair {
   /// Whether inbound RDMA writes on this connection are honoured. Replicas
   /// flip this so only the current leader can append to their log (§III).
   void set_allow_remote_write(bool allow) noexcept { allow_remote_write_ = allow; }
-  bool allow_remote_write() const noexcept { return allow_remote_write_; }
 
   // --- Dataplane entry point -------------------------------------------
 

@@ -37,25 +37,21 @@ class Table {
 /// Print a section heading for a bench binary.
 void print_header(const std::string& experiment, const std::string& paper_claim);
 
-/// One bench run's observability scope. Construction applies the
-/// environment:
-///   P4CE_TRACE=1|<path>     enable consensus-instance tracing (a value other
-///                           than 0/1 is used as the trace output path)
+/// One bench run's observability scope. Construction reads the environment:
+///   P4CE_TRACE=1            enable consensus-instance tracing
 ///   P4CE_TRACE_SAMPLE=<n>   trace every n-th instance (default 1)
-///   P4CE_ATTR=1|0           force commit-latency attribution on/off
-///   P4CE_SAMPLE_US=<n>      telemetry sampler period in µs (0 forces off)
-///   P4CE_FLIGHT=1|0         force the fault flight recorder on/off
 ///   P4CE_BENCH_DIR=<dir>    output directory (default ".")
 ///   P4CE_BENCH_JSON=0       disable all JSON export
+///   P4CE_BACKEND=<name>     the backend recorded in the meta block
 /// and resets the metrics registry (and trace buffer) so the dump covers
-/// exactly this run. A bench can also opt a pillar in by default with the
-/// enable_*() methods — an explicit "off" in the environment always wins.
-/// finish() — or the destructor — writes BENCH_<name>.json (schema
-/// p4ce-bench-v1: recorded values, tables, an attribution report when
-/// enabled, and a metrics snapshot) plus, when tracing,
-/// METRICS_<name>.json and the Chrome trace TRACE_<name>.json, when
-/// sampling, SERIES_<name>.json, and when the flight recorder captured
-/// anything, FLIGHT_<name>.json.
+/// exactly this run. The bench itself turns the other observability pillars
+/// on with the enable_*() methods. finish() — or the destructor — writes
+/// BENCH_<name>.json (schema p4ce-bench-v1: recorded values, tables, an
+/// attribution report when enabled, and a metrics snapshot) plus, when
+/// tracing, the Chrome trace TRACE_<name>.json, when sampling,
+/// SERIES_<name>.json, and when the flight recorder captured anything,
+/// FLIGHT_<name>.json. The obs exporters only build strings; this class
+/// decides what is written where.
 class BenchSession {
  public:
   explicit BenchSession(std::string name);
@@ -74,35 +70,27 @@ class BenchSession {
   /// Record a result table (call right before or after table.print()).
   void add_table(const Table& table);
 
-  /// Bench defaults for the observability pillars (no-ops when the
-  /// environment forced the pillar off).
+  /// Turn an observability pillar on for this run.
   void enable_attribution();
   void enable_sampler(Duration period = 100'000);
   void enable_flight_recorder();
-
-  bool tracing() const noexcept { return tracing_; }
-  bool attribution() const noexcept { return attribution_; }
-  bool sampling() const noexcept { return sampling_; }
-  bool flight() const noexcept { return flight_; }
 
   /// Write the JSON artefacts (idempotent; also run by the destructor).
   void finish();
 
  private:
   std::string path_for(const std::string& prefix) const;
+  /// Write <prefix>_<name>.json; warns on stderr and returns false on failure.
+  bool write_artefact(const std::string& prefix, const std::string& content) const;
 
   std::string name_;
   std::string dir_;
-  std::string trace_path_;
   std::string meta_backend_ = "none";
   bool json_enabled_ = true;
   bool tracing_ = false;
   bool attribution_ = false;
   bool sampling_ = false;
   bool flight_ = false;
-  bool attr_forced_off_ = false;
-  bool sampler_forced_off_ = false;
-  bool flight_forced_off_ = false;
   bool finished_ = false;
   std::vector<std::pair<std::string, double>> values_;
   std::vector<Table> tables_;

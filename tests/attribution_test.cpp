@@ -217,14 +217,13 @@ TEST_F(TracerAttributionTest, AttributionOnlyModeBuffersNoChromeEvents) {
   EXPECT_TRUE(tracer_.attribution_enabled());
 
   tracer_.begin_round(1, 0);
-  tracer_.span(1, "propose", 0, 100);
-  tracer_.mark_propose_done(1, 100);
-  tracer_.mark_post_done(1, 150);
+  tracer_.propose_done(1, 0, 100);
+  tracer_.post_done(1, 100, 150);
   tracer_.on_scatter(1, 300);
   tracer_.on_scatter_copy(1, 350, 0);
   tracer_.on_ack(1, 600, 0);
   tracer_.on_quorum(1, 600);
-  tracer_.mark_ack_rx(1, 700);
+  tracer_.ack_rx(1, 700);
   tracer_.end_round(1, 800, true);
 
   EXPECT_EQ(tracer_.event_count(), 0u);  // no Chrome events buffered
@@ -243,8 +242,7 @@ TEST_F(TracerAttributionTest, SampledOutInstancesLeaveNoTraceButCountersTick) {
   // Instance 3 is sampled out: its hooks are no-ops end to end.
   proposals.inc();
   tracer_.begin_round(3, 0);
-  tracer_.span(3, "propose", 0, 10);
-  tracer_.mark_propose_done(3, 10);
+  tracer_.propose_done(3, 0, 10);
   tracer_.end_round(3, 20, true);
   EXPECT_EQ(tracer_.event_count(), 0u);
   EXPECT_TRUE(tracer_.active_rounds().empty());
@@ -252,7 +250,7 @@ TEST_F(TracerAttributionTest, SampledOutInstancesLeaveNoTraceButCountersTick) {
   // Instance 4 is sampled in.
   proposals.inc();
   tracer_.begin_round(4, 0);
-  tracer_.span(4, "propose", 0, 10);
+  tracer_.propose_done(4, 0, 10);
   tracer_.end_round(4, 20, true);
   EXPECT_GT(tracer_.event_count(), 0u);
 

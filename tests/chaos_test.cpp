@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 
@@ -155,7 +156,8 @@ void run_chaos_seed(u64 seed, consensus::Mode mode) {
     EXPECT_TRUE(saw_switch_capture) << "switch crash left no capture";
   }
   // The artefact the issue asks a chaos run to produce.
-  std::ignore = recorder.write_json("FLIGHT_chaos_seed" + std::to_string(seed) + ".json");
+  std::ignore = obs::write_text_file("FLIGHT_chaos_seed" + std::to_string(seed) + ".json",
+                                     recorder.to_json());
 
   obs::Sampler::global().disable();
   obs::Sampler::global().reset();

@@ -7,6 +7,7 @@
 
 #include "common/time.hpp"
 #include "common/types.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -96,7 +97,8 @@ TEST(MetricsRegistry, JsonContainsEverySeries) {
   reg.counter("a.count").inc(3);
   reg.gauge("b.level").set(1.5);
   reg.histogram("c.lat").record(42);
-  const std::string json = reg.to_json();
+  std::string json;
+  append_snapshot_json(json, reg.snapshot());
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
   EXPECT_NE(json.find("\"b.level\""), std::string::npos);
   EXPECT_NE(json.find("\"c.lat\""), std::string::npos);
@@ -109,6 +111,16 @@ TEST(MetricsRegistry, JsonEscapesControlAndQuoteCharacters) {
   std::string out;
   append_json_escaped(out, "a\"b\\c\n");
   EXPECT_EQ(out, "\"a\\\"b\\\\c\\n\"");
+}
+
+TEST(MetricsRegistry, JsonNumbersKeepIntegersExactAndNineDigitsOtherwise) {
+  std::string out;
+  append_json_number(out, 123456789012.0);
+  out += ' ';
+  append_json_number(out, 2.0 / 3.0);
+  out += ' ';
+  append_json_number(out, 1e20);
+  EXPECT_EQ(out, "123456789012 0.666666667 1e+20");
 }
 
 // ---------------------------------------------------------------------------
@@ -124,7 +136,7 @@ class TracerTest : public ::testing::Test {
 TEST_F(TracerTest, DisabledByDefaultAndHooksAreNoOps) {
   EXPECT_FALSE(Tracer::is_enabled());
   tracer_.begin_round(1, 0);
-  tracer_.span(1, "propose", 0, 10);
+  tracer_.propose_done(1, 0, 10);
   tracer_.end_round(1, 20, true);
   EXPECT_EQ(tracer_.event_count(), 0u);
 }
@@ -132,7 +144,7 @@ TEST_F(TracerTest, DisabledByDefaultAndHooksAreNoOps) {
 TEST_F(TracerTest, RoundLifecycleEmitsRootAndAggregateSpans) {
   tracer_.enable();
   tracer_.begin_round(1, 100);
-  tracer_.span(1, "propose", 100, 200, "seq", 1);
+  tracer_.propose_done(1, 100, 200, "seq", 1);
   tracer_.on_scatter(1, 300);
   tracer_.on_scatter_copy(1, 320, 0);
   tracer_.on_scatter_copy(1, 340, 1);
@@ -162,12 +174,12 @@ TEST_F(TracerTest, SamplingSkipsUnselectedInstances) {
   EXPECT_FALSE(tracer_.sampled(0));  // 0 is the "no instance" sentinel
 
   tracer_.begin_round(3, 0);
-  tracer_.span(3, "propose", 0, 10);
+  tracer_.propose_done(3, 0, 10);
   tracer_.end_round(3, 20, true);
   EXPECT_EQ(tracer_.event_count(), 0u);
 
   tracer_.begin_round(4, 0);
-  tracer_.span(4, "propose", 0, 10);
+  tracer_.propose_done(4, 0, 10);
   tracer_.end_round(4, 20, true);
   EXPECT_GT(tracer_.event_count(), 0u);
 }
@@ -200,7 +212,7 @@ TEST_F(TracerTest, WireMapHandles24BitPsnWrap) {
 TEST_F(TracerTest, EventBufferIsBounded) {
   tracer_.enable(/*sample_every=*/1, /*max_events=*/4);
   tracer_.begin_round(1, 0);
-  for (int i = 0; i < 100; ++i) tracer_.instant(1, "replica.ack", i);
+  for (int i = 0; i < 100; ++i) tracer_.on_ack(1, i, 0);
   tracer_.end_round(1, 200, true);
   EXPECT_LE(tracer_.event_count(), 4u);
   EXPECT_TRUE(tracer_.overflowed());
@@ -209,7 +221,7 @@ TEST_F(TracerTest, EventBufferIsBounded) {
 TEST_F(TracerTest, ClearDropsEventsButStaysEnabled) {
   tracer_.enable();
   tracer_.begin_round(1, 0);
-  tracer_.span(1, "propose", 0, 5);
+  tracer_.propose_done(1, 0, 5);
   tracer_.end_round(1, 10, true);
   ASSERT_GT(tracer_.event_count(), 0u);
   tracer_.clear();
@@ -219,8 +231,8 @@ TEST_F(TracerTest, ClearDropsEventsButStaysEnabled) {
 
 TEST_F(TracerTest, ChromeJsonTimesAreMicroseconds) {
   tracer_.enable();
-  tracer_.begin_round(1, 1000);          // 1000 ns -> ts 1.000 us
-  tracer_.span(1, "propose", 1000, 3500);  // dur 2500 ns -> 2.500 us
+  tracer_.begin_round(1, 1000);         // 1000 ns -> ts 1.000 us
+  tracer_.propose_done(1, 1000, 3500);  // dur 2500 ns -> 2.500 us
   tracer_.end_round(1, 5000, true);
   const std::string json = tracer_.to_chrome_json();
   EXPECT_NE(json.find("\"ts\": 1.000"), std::string::npos);

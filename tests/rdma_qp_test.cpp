@@ -238,6 +238,32 @@ TEST_F(QpFixture, ErrorStateFlushesQueuedWork) {
   }
 }
 
+TEST_F(QpFixture, ResetFromAFlushCompletionFlushesEachWrOnce) {
+  // A completion callback that resets the QP mid-flush (as a communicator
+  // falling back does) must not disturb the rest of the flush.
+  link.cut();
+  QpConfig config;
+  config.max_send_wr = 2;
+  connect(config);
+  cq_a.set_callback([this](const Completion& c) {
+    completions_a.push_back(c);
+    if (completions_a.size() == 1) qp_a->reset();
+  });
+  for (u64 i = 0; i < 5; ++i) {
+    ASSERT_TRUE(qp_a->post_write(i, pattern(8), region_b->vaddr(), region_b->rkey()).is_ok());
+  }
+  ASSERT_EQ(qp_a->inflight_messages(), 2u);
+  ASSERT_EQ(qp_a->queued_messages(), 3u);
+  qp_a->set_error(WcStatus::kRetryExceeded);
+  ASSERT_EQ(completions_a.size(), 5u);
+  for (u64 i = 0; i < 5; ++i) {
+    EXPECT_EQ(completions_a[i].wr_id, i);
+    EXPECT_EQ(completions_a[i].status, i < 2 ? WcStatus::kRetryExceeded : WcStatus::kFlushed);
+  }
+  EXPECT_EQ(qp_a->inflight_messages(), 0u);
+  EXPECT_EQ(qp_a->queued_messages(), 0u);
+}
+
 TEST_F(QpFixture, DuplicateDeliveryIsIdempotent) {
   // Force a retransmission of an already-delivered message by cutting the
   // reverse path conceptually: easiest is to retransmit via timer by

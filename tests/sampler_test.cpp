@@ -87,8 +87,7 @@ TEST_F(SamplerTest, LateRegisteredSeriesExtendColumnsWithoutShiftingOldOnes) {
   EXPECT_DOUBLE_EQ(frames[1].values.back(), 7.0);
 
   // Export pads the short frame with null, keeping rows column-aligned.
-  std::string json;
-  sampler_.append_json(json);
+  const std::string json = sampler_.to_json();
   EXPECT_NE(json.find("\"p4ce-series-v1\""), std::string::npos);
   EXPECT_NE(json.find("null"), std::string::npos);
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
@@ -178,8 +177,7 @@ TEST_F(FlightTest, TriggerFreezesTelemetryAndInFlightRounds) {
 
   tracer.end_round(obs::trace_key(1, 9), 600, false);
 
-  std::string json;
-  recorder_.append_json(json);
+  const std::string json = recorder_.to_json();
   EXPECT_NE(json.find("\"p4ce-flight-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"leader_failover\""), std::string::npos);
   EXPECT_NE(json.find("\"term\""), std::string::npos);

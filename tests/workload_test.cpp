@@ -1,9 +1,19 @@
 // Workload-harness tests: the generators that drive every bench must
 // themselves be trustworthy — window discipline, measurement accounting,
-// open-loop rate fidelity, burst timing, and the in-flight-PSN guard.
+// open-loop rate fidelity, burst timing, and the in-flight-PSN guard — and
+// the BenchSession export every bench's JSON artefacts go through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/cluster.hpp"
+#include "obs/trace.hpp"
 #include "workload/generators.hpp"
 #include "workload/report.hpp"
 
@@ -88,6 +98,87 @@ TEST(Report, TableFormatsRows) {
   table.print();  // visual only; must not crash
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt(2.0, 0), "2");
+}
+
+/// Points P4CE_BENCH_DIR at a fresh temporary directory and clears the
+/// other export knobs, so each case sees exactly the files one session wrote.
+class BenchSessionExport : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string tmpl = (std::filesystem::temp_directory_path() / "p4ce_bench_XXXXXX").string();
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+    dir_ = tmpl;
+    ::setenv("P4CE_BENCH_DIR", dir_.c_str(), 1);
+    ::unsetenv("P4CE_BENCH_JSON");
+    ::unsetenv("P4CE_TRACE");
+    ::unsetenv("P4CE_TRACE_SAMPLE");
+  }
+  void TearDown() override {
+    ::unsetenv("P4CE_BENCH_DIR");
+    ::unsetenv("P4CE_BENCH_JSON");
+    ::unsetenv("P4CE_TRACE");
+    obs::Tracer::global().disable();
+    obs::Tracer::global().clear();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::string read(const std::string& file) const {
+    std::ifstream in(dir_ / file);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  }
+  std::vector<std::string> files() const {
+    std::vector<std::string> out;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      out.push_back(entry.path().filename().string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(BenchSessionExport, WritesTheBenchEnvelope) {
+  {
+    BenchSession session("unit");
+    session.add_value("ratio", 0.5);
+    Table table("demo", {"a"});
+    table.add_row({"1"});
+    session.add_table(table);
+  }
+  ASSERT_EQ(files(), std::vector<std::string>{"BENCH_unit.json"});
+  const std::string json = read("BENCH_unit.json");
+  EXPECT_NE(json.find("\"schema\": \"p4ce-bench-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"bench\": \"unit\""), std::string::npos);
+  EXPECT_NE(json.find("\"ratio\": 0.5"), std::string::npos);
+  EXPECT_NE(json.find("\"title\": \"demo\""), std::string::npos);
+  EXPECT_NE(json.find("\"metrics\": {"), std::string::npos);
+}
+
+TEST_F(BenchSessionExport, TracingAddsTheTraceAndNoMetricsFile) {
+  ::setenv("P4CE_TRACE", "1", 1);
+  {
+    BenchSession session("unit");
+    auto cluster = make_cluster();
+    run_closed_loop(*cluster, 64, 4, 50, 10);
+  }
+  ASSERT_EQ(files(), (std::vector<std::string>{"BENCH_unit.json", "TRACE_unit.json"}));
+  const std::string trace = read("TRACE_unit.json");
+  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(trace.find("\"round\""), std::string::npos);
+  EXPECT_NE(trace.find("\"leader.ack_rx\""), std::string::npos);
+}
+
+TEST_F(BenchSessionExport, BenchJsonZeroWritesNothing) {
+  ::setenv("P4CE_BENCH_JSON", "0", 1);
+  ::setenv("P4CE_TRACE", "1", 1);
+  {
+    BenchSession session("unit");
+    session.add_value("ratio", 0.5);
+  }
+  EXPECT_TRUE(files().empty());
 }
 
 }  // namespace
