@@ -204,17 +204,15 @@ void MuCommunicator::abort_all() { pending_.clear(); }
 P4ceCommunicator::P4ceCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu,
                                    const Calibration& cal, u32 f_needed,
                                    std::vector<ReplicaTarget> targets, rdma::Nic& nic,
-                                   Ipv4Addr switch_ip, NodeId self, Hooks hooks)
-    : sim_(sim),
-      cpu_(cpu),
-      cal_(cal),
-      f_needed_(f_needed),
+                                   Ipv4Addr switch_ip, NodeId self, bool switch_known_dead,
+                                   Hooks hooks)
+    : MuCommunicator(sim, cpu, cal, f_needed, targets),
       nic_(nic),
       switch_ip_(switch_ip),
       self_(self),
+      switch_known_dead_(switch_known_dead),
       hooks_(std::move(hooks)),
-      fallback_(sim, cpu, cal, f_needed, targets),
-      targets_snapshot_(std::move(targets)),
+      members_(std::move(targets)),
       reaccel_timer_(sim, cal.reacceleration_period, [this] { probe_reacceleration(); }) {
   switch_cq_.set_callback([this](const rdma::Completion& c) { on_switch_completion(c); });
 }
@@ -226,13 +224,18 @@ P4ceCommunicator::~P4ceCommunicator() {
   if (switch_qp_ != nullptr) nic_.destroy_qp(switch_qp_->qpn());
 }
 
-void P4ceCommunicator::start_fallback(u64 term) {
+void P4ceCommunicator::start(u64 term, DoneFn on_ready) {
+  if (!switch_known_dead_) {
+    activate(term, std::move(on_ready));
+    return;
+  }
   term_ = term;
   state_ = State::kFallback;
   reaccel_timer_.start();
+  on_ready(Status::ok());
 }
 
-void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) {
+void P4ceCommunicator::activate(u64 term, DoneFn on_ready) {
   term_ = term;
   state_ = State::kConnecting;
 
@@ -247,7 +250,7 @@ void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) 
   p4::GroupRequestData request;
   request.leader_node_id = self_;
   request.term = term;
-  for (const auto& target : targets_snapshot_) {
+  for (const auto& target : members_) {
     if (!target.excluded) request.replica_ips.push_back(target.ip);
   }
   group_member_ips_ = request.replica_ips;
@@ -281,7 +284,6 @@ void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) 
         });
         state_ = State::kAccelerated;
         reaccel_timer_.stop();
-        if (hooks_.on_mode_change) hooks_.on_mode_change(true);
         if (on_ready) on_ready(Status::ok());
         // Members may have joined while the control plane was configuring
         // this group (a straggler's late grant): rebuild with the full set.
@@ -297,8 +299,7 @@ void P4ceCommunicator::activate(u64 term, std::function<void(Status)> on_ready) 
 
 void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
   if (state_ != State::kAccelerated) {
-    // Un-accelerated path: identical to Mu.
-    fallback_.replicate(offset, std::move(entry), seq, std::move(done));
+    MuCommunicator::replicate(offset, std::move(entry), seq, std::move(done));
     return;
   }
 
@@ -336,7 +337,6 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
     if (it == accel_pending_.end()) return;
     DoneFn done = std::move(it->second.done);
     accel_pending_.erase(it);
-    ++accel_ops_;
     if (obs::Tracer::is_enabled()) obs::Tracer::global().commit_done(seq, t_ack, sim_.now());
     done(Status::ok());
   });
@@ -345,7 +345,6 @@ void P4ceCommunicator::on_switch_completion(const rdma::Completion& c) {
 void P4ceCommunicator::enter_fallback() {
   if (state_ == State::kFallback) return;
   state_ = State::kFallback;
-  if (fallbacks_ == 0) accel_ops_at_first_fallback_ = accel_ops_;
   ++fallbacks_;
   CommMetrics::get().fallbacks.inc();
   if (obs::FlightRecorder::is_enabled()) {
@@ -354,14 +353,13 @@ void P4ceCommunicator::enter_fallback() {
   // Silence the accelerated QP: everything outstanding is replayed over the
   // direct connections below, and its go-back-N must not keep fighting.
   if (switch_qp_ != nullptr) switch_qp_->reset();
-  if (hooks_.on_mode_change) hooks_.on_mode_change(false);
 
   // Replay everything that was in flight on the accelerated path through
   // the direct connections (idempotent: same bytes at the same offsets).
   auto pending = std::move(accel_pending_);
   accel_pending_.clear();
   for (auto& [seq, op] : pending) {
-    fallback_.replicate(op.offset, std::move(op.entry), seq, std::move(op.done));
+    MuCommunicator::replicate(op.offset, std::move(op.entry), seq, std::move(op.done));
   }
   // Entries committed with f *other* ACKs may be missing at the replica
   // that NAK'd; the node refills them from its log over the direct path.
@@ -380,12 +378,12 @@ void P4ceCommunicator::probe_reacceleration() {
 
 void P4ceCommunicator::write_raw(u64 offset, Bytes bytes) {
   if (state_ != State::kAccelerated) {
-    fallback_.write_raw(offset, std::move(bytes));
+    MuCommunicator::write_raw(offset, std::move(bytes));
     return;
   }
   cpu_.execute(cal_.cpu_post_wr, [this, offset, bytes = std::move(bytes)] {
     if (state_ != State::kAccelerated || switch_qp_ == nullptr) {
-      fallback_.write_raw(offset, bytes);
+      MuCommunicator::write_raw(offset, bytes);
       return;
     }
     std::ignore = switch_qp_->post_write(0, std::move(bytes), virtual_base_ + offset,
@@ -394,8 +392,8 @@ void P4ceCommunicator::write_raw(u64 offset, Bytes bytes) {
 }
 
 void P4ceCommunicator::exclude_replica(NodeId id) {
-  fallback_.exclude_replica(id);
-  for (auto& target : targets_snapshot_) {
+  MuCommunicator::exclude_replica(id);
+  for (auto& target : members_) {
     if (target.id == id) target.excluded = true;
   }
   if (state_ != State::kAccelerated || update_in_flight_) return;
@@ -407,7 +405,7 @@ void P4ceCommunicator::exclude_replica(NodeId id) {
   p4::GroupRequestData request;
   request.leader_node_id = self_;
   request.term = term_;
-  for (const auto& target : targets_snapshot_) {
+  for (const auto& target : members_) {
     if (!target.excluded) request.replica_ips.push_back(target.ip);
   }
   nic_.cm().connect_virtual(
@@ -426,14 +424,14 @@ void P4ceCommunicator::exclude_replica(NodeId id) {
 
 void P4ceCommunicator::abort_all() {
   accel_pending_.clear();
-  fallback_.abort_all();
+  MuCommunicator::abort_all();
 }
 
 bool P4ceCommunicator::member_set_grew() const {
   // Only *growth* needs a fresh group: the data plane cannot gain a member
   // without a new control-plane setup. Shrinking goes through the cheap
   // membership-update service instead (exclude_replica).
-  for (const auto& target : targets_snapshot_) {
+  for (const auto& target : members_) {
     if (target.excluded) continue;
     if (std::find(group_member_ips_.begin(), group_member_ips_.end(), target.ip) ==
         group_member_ips_.end()) {
@@ -444,8 +442,8 @@ bool P4ceCommunicator::member_set_grew() const {
 }
 
 void P4ceCommunicator::reset_targets(std::vector<ReplicaTarget> targets) {
-  fallback_.reset_targets(targets);
-  targets_snapshot_ = std::move(targets);
+  MuCommunicator::reset_targets(targets);
+  members_ = std::move(targets);
   // A replica joining the set while accelerated needs the switch group
   // rebuilt (the data plane cannot add a member without a control-plane
   // reconfiguration). Drain in-flight work through the direct path first.

@@ -7,8 +7,8 @@
 //    n direct RDMA connections and aggregates the n ACKs itself (Mu).
 //  - P4ceCommunicator: the leader sends one write to the switch, which
 //    scatters it and returns a single aggregated ACK; on NAK or timeout it
-//    transparently falls back to the Mu path and periodically probes the
-//    switch to regain acceleration (§III-A).
+//    transparently falls back to the Mu path it inherits and periodically
+//    probes the switch to regain acceleration (§III-A).
 //  - OneSidedCommunicator (one_sided.hpp): verbs atomics, Velos-style.
 #pragma once
 
@@ -78,6 +78,12 @@ class Communicator {
 
   virtual ~Communicator() = default;
 
+  /// Bring the leader's communication up for `term` (P4CE: the switch group
+  /// setup; one-sided: the ballot takeover). `on_ready` fires once, when the
+  /// node may recover its log; the communicator is usable either way. Mu
+  /// has nothing to set up.
+  virtual void start(u64 /*term*/, DoneFn on_ready) { on_ready(Status::ok()); }
+
   /// Replicate `entry` (already in the leader's log at `offset`) to the
   /// replicas' logs at the same offset; `done` fires exactly once — in any
   /// order across ops — when the entry committed or is known lost.
@@ -129,12 +135,12 @@ class DirectCommunicator : public Communicator {
   sim::CpuExecutor& cpu_;
   Calibration cal_;
   std::vector<ReplicaTarget> targets_;
+  /// Expires with us; callbacks that may outlive us (completions on the
+  /// node's QPs, CM handshakes) capture a weak_ptr to it and return early.
+  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 
  private:
   void wire_completions();
-
-  /// Expires with us; completion callbacks check it (see wire_completions).
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 };
 
 // ---------------------------------------------------------------------------
@@ -162,11 +168,11 @@ class MuCommunicator : public DirectCommunicator {
 
 // ---------------------------------------------------------------------------
 
-class P4ceCommunicator : public Communicator {
+/// Un-accelerated, it is exactly its MuCommunicator base.
+class P4ceCommunicator : public MuCommunicator {
  public:
-  /// Callbacks the owning node uses for instrumentation and state changes.
+  /// Callbacks the owning node uses for state changes.
   struct Hooks {
-    std::function<void(bool accelerated)> on_mode_change;
     std::function<void()> on_membership_updated;  ///< switch reconfig done
     /// Replicas may have holes after a NAK-triggered fallback (entries the
     /// switch committed with f other ACKs); the node refills them from its
@@ -176,17 +182,15 @@ class P4ceCommunicator : public Communicator {
 
   P4ceCommunicator(sim::Simulator& sim, sim::CpuExecutor& cpu, const Calibration& cal,
                    u32 f_needed, std::vector<ReplicaTarget> targets, rdma::Nic& nic,
-                   Ipv4Addr switch_ip, NodeId self, Hooks hooks);
+                   Ipv4Addr switch_ip, NodeId self, bool switch_known_dead, Hooks hooks);
   ~P4ceCommunicator() override;
 
-  /// Connect to the switch and set the communication group up (§IV-A).
-  /// `on_ready(status)` fires once accelerated (or after giving up, at which
-  /// point the communicator is live in fallback mode).
-  void activate(u64 term, std::function<void(Status)> on_ready);
-
-  /// Start directly in the un-accelerated mode (the switch is known dead,
-  /// §III-A "Faulty switch") and probe for re-acceleration periodically.
-  void start_fallback(u64 term);
+  /// Connect to the switch and set the communication group up (§IV-A);
+  /// `on_ready(status)` fires once accelerated, or after giving up, at which
+  /// point the communicator is live in fallback mode. With the switch known
+  /// dead (§III-A "Faulty switch") it starts un-accelerated at once and
+  /// probes for re-acceleration periodically.
+  void start(u64 term, DoneFn on_ready) override;
 
   void replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) override;
   void write_raw(u64 offset, Bytes bytes) override;
@@ -197,44 +201,33 @@ class P4ceCommunicator : public Communicator {
 
   u64 fallback_count() const noexcept { return fallbacks_; }
   u64 reaccelerations() const noexcept { return reaccelerations_; }
-  /// Consensus instances served on the accelerated path before the first
-  /// NAK-triggered fallback (how long good flow control kept the fast path).
-  u64 ops_before_first_fallback() const noexcept {
-    return fallbacks_ == 0 ? accel_ops_ : accel_ops_at_first_fallback_;
-  }
 
  private:
   enum class State { kInactive, kConnecting, kAccelerated, kFallback };
 
+  void activate(u64 term, DoneFn on_ready);
   void on_switch_completion(const rdma::Completion& c);
   void enter_fallback();
   void probe_reacceleration();
   bool member_set_grew() const;
 
-  sim::Simulator& sim_;
-  sim::CpuExecutor& cpu_;
-  Calibration cal_;
-  u32 f_needed_;
   rdma::Nic& nic_;
   Ipv4Addr switch_ip_;
   NodeId self_;
+  bool switch_known_dead_;
   Hooks hooks_;
   u64 term_ = 0;
 
   State state_ = State::kInactive;
-  /// CM handshakes outlive us when a re-route destroys the communicator
-  /// mid-connect; their callbacks capture a weak_ptr to this token and
-  /// return early once it expires instead of touching freed state.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   rdma::CompletionQueue switch_cq_;
   rdma::QueuePair* switch_qp_ = nullptr;
   u64 virtual_base_ = 0;
   RKey virtual_rkey_ = 0;
   Qpn bcast_qpn_ = 0;
 
-  MuCommunicator fallback_;
-  /// Membership view (ids/ips/exclusion only; QPs live in fallback_).
-  std::vector<ReplicaTarget> targets_snapshot_;
+  /// The replica set a group request names. Unlike targets_, it keeps a
+  /// replica whose own direct QP broke: the switch group still includes it.
+  std::vector<ReplicaTarget> members_;
   /// The replica IPs the current/most recent group request named.
   std::vector<Ipv4Addr> group_member_ips_;
   /// Ops in flight on the accelerated path: seq -> (offset, entry) so they
@@ -248,8 +241,6 @@ class P4ceCommunicator : public Communicator {
   sim::PeriodicTimer reaccel_timer_;
   u64 fallbacks_ = 0;
   u64 reaccelerations_ = 0;
-  u64 accel_ops_ = 0;
-  u64 accel_ops_at_first_fallback_ = 0;
   bool update_in_flight_ = false;
 };
 
