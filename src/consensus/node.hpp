@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -150,12 +151,15 @@ class Node {
   void parse_peer_advertisement(Peer& peer, BytesView data);
 
   // Verbs helpers over the ctrl QPs.
-  void issue_read(Peer& peer, const RemoteMr& mr, u64 offset, u32 len,
-                  std::function<void(Bytes)> done);
+  /// Gets the bytes read, or nullopt if the read failed.
+  using ReadFn = std::function<void(std::optional<Bytes>)>;
+  void issue_read(Peer& peer, const RemoteMr& mr, u64 offset, u32 len, ReadFn done);
   void send_control(Peer& peer, ControlMessage msg);
   void on_ctrl_completion(Peer& peer, const rdma::Completion& c);
 
   // Election / view changes.
+  /// Machines in a majority of the cluster, this one included.
+  u32 majority() const noexcept { return (static_cast<u32>(peers_.size()) + 1) / 2 + 1; }
   void reevaluate_view();
   void start_campaign();
   void retry_campaign();
@@ -163,7 +167,15 @@ class Node {
   void apply_permissions(NodeId writer);
   void become_leader();
   void activate_leadership();
+  /// A view change's log recovery: the granters' progress answers.
+  struct Recovery {
+    u64 own_seq = 0;
+    u64 own_tail = 0;
+    u32 awaiting = 0;  ///< progress reads still in flight
+    std::vector<std::pair<Peer*, Progress>> answers;
+  };
   void recover_and_activate();
+  void adopt_longest_log(std::shared_ptr<Recovery> recovery);
   void finish_recovery(u64 max_seq, u64 tail_offset);
   void on_peer_died(u32 peer_index);
 
@@ -209,7 +221,7 @@ class Node {
   std::vector<GroupConnection> group_connections_;
 
   // Pending read completions on ctrl QPs, by wr_id.
-  std::map<u64, std::function<void(Bytes)>> pending_reads_;
+  std::map<u64, ReadFn> pending_reads_;
   u64 next_wr_id_ = 1;
 
   // Election state.

@@ -229,6 +229,33 @@ TEST_P(ModeTest, UsurperWritesAreNakedByPermissions) {
   EXPECT_EQ(cluster->node(1).delivered(), 0u);
 }
 
+TEST_P(ModeTest, GrantingReplicaCrashDuringRecoveryStillElectsALeader) {
+  // Node 2 grants node 1 the new term, then crashes before node 1's log
+  // recovery read of it completes. The read fails; recovery must finish on
+  // the answers of the remaining majority instead of waiting for it forever.
+  for (const Duration offset : {microseconds(800), microseconds(850), microseconds(880)}) {
+    SCOPED_TRACE(testing::Message() << "node 2 crashes " << offset << " ns after node 0");
+    auto cluster = make(GetParam(), 5);
+    cluster->crash_node(0);
+    cluster->run_for(offset);
+    cluster->crash_node(2);
+    const SimTime deadline = cluster->now() + seconds(1);
+    while (cluster->leader() == nullptr && cluster->now() < deadline) {
+      cluster->run_for(milliseconds(1));
+    }
+    ASSERT_NE(cluster->leader(), nullptr);
+    EXPECT_EQ(cluster->leader()->id(), 1u);
+    EXPECT_EQ(cluster->leader()->term(), 3u);
+    bool committed = false;
+    ASSERT_TRUE(cluster->leader()
+                    ->propose(to_bytes("after-double-failure"),
+                              [&](Status st, u64) { committed = st.is_ok(); })
+                    .is_ok());
+    cluster->run_for(milliseconds(5));
+    EXPECT_TRUE(committed);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, ModeTest,
                          ::testing::Values(Mode::kMu, Mode::kP4ce, Mode::kOneSided),
                          [](const ::testing::TestParamInfo<Mode>& info) {
@@ -294,6 +321,56 @@ TEST(FiveNodeCluster, CascadedLeaderCrashes) {
                                            [&](Status st, u64) { committed = st.is_ok(); });
   cluster->run_for(milliseconds(5));
   EXPECT_TRUE(committed);
+}
+
+TEST(FiveNodeCluster, RecoverySourceCrashMidFetchKeepsCommittedEntries) {
+  // A slow NIC leaves node 1 behind, so after node 0 crashes node 1's
+  // recovery must fetch the log suffix from node 2, the first most advanced
+  // granter. Node 2 crashes just before that fetch is answered (offsets
+  // measured per backend). Recovery must take the suffix from another
+  // answer: not wait for node 2 forever, and not settle for its own log.
+  struct Case {
+    Mode mode;
+    Duration offset;
+  };
+  for (const Case c : {Case{Mode::kMu, microseconds(988)}, Case{Mode::kMu, microseconds(989)},
+                       Case{Mode::kOneSided, microseconds(996)},
+                       Case{Mode::kOneSided, microseconds(997)}}) {
+    SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(c.mode) << ", node 2 crashes "
+                                    << c.offset << " ns after node 0");
+    auto cluster = make(c.mode, 5);
+    auto& nic_config = const_cast<rdma::NicConfig&>(cluster->host(1).nic.config());
+    const Duration rx_per_packet = nic_config.rx_per_packet;
+    nic_config.rx_per_packet = 5'000;
+    u64 committed = 0;
+    auto record = [&](Status st, u64 seq) {
+      if (st.is_ok()) committed = std::max(committed, seq);
+    };
+    for (int k = 0; k < 100; ++k) {
+      std::ignore = cluster->node(0).propose(Bytes(64, static_cast<u8>(k)), record);
+    }
+    cluster->run_for(microseconds(100));
+    cluster->crash_node(0);
+    nic_config.rx_per_packet = rx_per_packet;
+    ASSERT_LT(cluster->node(1).last_delivered_seq(), cluster->node(2).last_delivered_seq());
+    cluster->run_for(c.offset);
+    cluster->crash_node(2);
+
+    const SimTime deadline = cluster->now() + seconds(1);
+    while (cluster->leader() == nullptr && cluster->now() < deadline) {
+      cluster->run_for(milliseconds(1));
+    }
+    ASSERT_NE(cluster->leader(), nullptr);
+    EXPECT_EQ(cluster->leader()->id(), 1u);
+    EXPECT_GE(cluster->node(1).last_delivered_seq(), committed);
+    u64 next_seq = 0;
+    ASSERT_TRUE(cluster->leader()
+                    ->propose(to_bytes("after-recovery"),
+                              [&](Status st, u64 seq) { next_seq = st.is_ok() ? seq : 0; })
+                    .is_ok());
+    cluster->run_for(milliseconds(5));
+    EXPECT_GT(next_seq, committed);
+  }
 }
 
 }  // namespace
