@@ -102,8 +102,10 @@ void DirectCommunicator::write_raw(u64 offset, Bytes bytes) {
       if (i >= targets_.size()) return;
       ReplicaTarget& target = targets_[i];
       if (target.excluded || target.qp == nullptr) return;
-      std::ignore = target.qp->post_write(0, bytes, target.log_vaddr + offset,
-                                          target.log_rkey, /*signaled=*/false);
+      std::ignore = target.qp->post({.remote_vaddr = target.log_vaddr + offset,
+                                     .rkey = target.log_rkey,
+                                     .payload = Bytes(bytes),
+                                     .signaled = false});
     });
   }
 }
@@ -148,8 +150,10 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
         // post is the attribution boundary.
         obs::Tracer::global().post_done(seq, t_replicate, sim_.now(), target.id);
       }
-      const Status st =
-          target.qp->post_write(seq, entry, target.log_vaddr + offset, target.log_rkey);
+      const Status st = target.qp->post({.wr_id = seq,
+                                         .remote_vaddr = target.log_vaddr + offset,
+                                         .rkey = target.log_rkey,
+                                         .payload = Bytes(entry)});
       if (!st.is_ok()) {
         target.excluded = true;
         fail_if_quorum_lost();
@@ -317,8 +321,10 @@ void P4ceCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) 
       tracer.map_wire(seq, switch_qp_->planned_next_psn(), npkts, bcast_qpn_);
       tracer.post_done(seq, t_replicate, sim_.now());
     }
-    const Status st =
-        switch_qp_->post_write(seq, std::move(entry), virtual_base_ + offset, virtual_rkey_);
+    const Status st = switch_qp_->post({.wr_id = seq,
+                                        .remote_vaddr = virtual_base_ + offset,
+                                        .rkey = virtual_rkey_,
+                                        .payload = Bytes(entry)});
     if (!st.is_ok()) enter_fallback();
   });
 }
@@ -386,8 +392,10 @@ void P4ceCommunicator::write_raw(u64 offset, Bytes bytes) {
       MuCommunicator::write_raw(offset, bytes);
       return;
     }
-    std::ignore = switch_qp_->post_write(0, std::move(bytes), virtual_base_ + offset,
-                                         virtual_rkey_, /*signaled=*/false);
+    std::ignore = switch_qp_->post({.remote_vaddr = virtual_base_ + offset,
+                                    .rkey = virtual_rkey_,
+                                    .payload = Bytes(bytes),
+                                    .signaled = false});
   });
 }
 

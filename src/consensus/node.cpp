@@ -315,7 +315,11 @@ void Node::issue_read(Peer& peer, const RemoteMr& mr, u64 offset, u32 len, ReadF
   }
   const u64 wr_id = next_wr_id_++;
   pending_reads_[wr_id] = std::move(done);
-  const Status st = peer.ctrl_qp->post_read(wr_id, mr.vaddr + offset, mr.rkey, len);
+  const Status st = peer.ctrl_qp->post({.wr_id = wr_id,
+                                        .opcode = rdma::Opcode::kReadRequest,
+                                        .remote_vaddr = mr.vaddr + offset,
+                                        .rkey = mr.rkey,
+                                        .read_len = len});
   if (!st.is_ok()) pending_reads_.extract(wr_id).mapped()(std::nullopt);
 }
 
@@ -324,8 +328,11 @@ void Node::send_control(Peer& peer, ControlMessage msg) {
   msg.from = options_.id;
   msg.stamp = ++peer.mail_stamp;
   const u64 slot = MailboxReceiver::slot_offset(options_.id);
-  std::ignore = peer.ctrl_qp->post_write(next_wr_id_++, msg.encode(), peer.mail.vaddr + slot,
-                                         peer.mail.rkey, /*signaled=*/false);
+  std::ignore = peer.ctrl_qp->post({.wr_id = next_wr_id_++,
+                                    .remote_vaddr = peer.mail.vaddr + slot,
+                                    .rkey = peer.mail.rkey,
+                                    .payload = msg.encode(),
+                                    .signaled = false});
 }
 
 void Node::on_ctrl_completion(Peer&, const rdma::Completion& c) {
@@ -806,9 +813,10 @@ void Node::repair_replicas() {
       for (u64 offset = progress.tail_offset; offset < my_tail; offset += kChunk) {
         const u64 len = std::min(kChunk, my_tail - offset);
         Bytes chunk(log_mr_->bytes() + offset, log_mr_->bytes() + offset + len);
-        std::ignore = peer.data_qp->post_write(0, std::move(chunk),
-                                               peer.log.vaddr + offset, peer.log.rkey,
-                                               /*signaled=*/false);
+        std::ignore = peer.data_qp->post({.remote_vaddr = peer.log.vaddr + offset,
+                                          .rkey = peer.log.rkey,
+                                          .payload = std::move(chunk),
+                                          .signaled = false});
       }
     });
   }

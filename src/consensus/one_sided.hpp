@@ -157,6 +157,7 @@ class OneSidedCommunicator : public DirectCommunicator {
   void takeover_frontier_check(Takeover& tk);
   void enter_slow_path(OpState& op, u64 seq);
   void post_prepare(OpState& op, u64 seq, std::size_t target_index);
+  rdma::WorkRequest prepare_request(u64 wr, const ReplicaTarget& target, u64 slot_off) const;
   void commit(OpState& op, u64 seq, bool fast);
   void resolve(OpState& op, Status status);
   void check_op_verdict(OpState& op, u64 seq);

@@ -221,7 +221,10 @@ TEST_P(ModeTest, UsurperWritesAreNakedByPermissions) {
                    });
   cluster->run_for(milliseconds(1));
   ASSERT_TRUE(connected);
-  ASSERT_TRUE(qp.post_write(1, Bytes(64, 0xEE), log_vaddr, log_rkey).is_ok());
+  ASSERT_TRUE(qp.post({.wr_id = 1,
+                       .remote_vaddr = log_vaddr,
+                       .rkey = log_rkey,
+                       .payload = Bytes(64, 0xEE)}).is_ok());
   cluster->run_for(milliseconds(1));
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0], rdma::WcStatus::kRemoteAccessError);

@@ -1,6 +1,6 @@
 // Zero-copy payload contract: PayloadRef ownership/slicing semantics, the
 // copied/shared byte counters, and the end-to-end aliasing guarantee that
-// mutating a source buffer after post_write cannot alter in-flight packets.
+// mutating a source buffer after post() cannot alter in-flight packets.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -137,9 +137,12 @@ struct AliasFixture : ::testing::Test {
 TEST_F(AliasFixture, MutatingSourceAfterPostWriteDoesNotAlterInFlightPackets) {
   const Bytes original = pattern(5000, 1);
   Bytes source = original;
-  // post_write takes the buffer by value: the transport owns an immutable
+  // post() takes the buffer by value: the transport owns an immutable
   // snapshot from this point on.
-  ASSERT_TRUE(qp_a->post_write(1, Bytes(source), region_b->vaddr(), region_b->rkey()).is_ok());
+  ASSERT_TRUE(qp_a->post({.wr_id = 1,
+                          .remote_vaddr = region_b->vaddr(),
+                          .rkey = region_b->rkey(),
+                          .payload = Bytes(source)}).is_ok());
   // Scribble over the caller's buffer while 5 packets are still in flight.
   for (auto& b : source) b = 0xee;
   sim.run();
@@ -149,7 +152,10 @@ TEST_F(AliasFixture, MutatingSourceAfterPostWriteDoesNotAlterInFlightPackets) {
 TEST_F(AliasFixture, MultiPacketWriteSharesOneBufferAcrossSegments) {
   const u64 copied_before = copied_bytes();
   const u64 shared_before = shared_bytes();
-  ASSERT_TRUE(qp_a->post_write(2, pattern(8192, 4), region_b->vaddr(), region_b->rkey()).is_ok());
+  ASSERT_TRUE(qp_a->post({.wr_id = 2,
+                          .remote_vaddr = region_b->vaddr(),
+                          .rkey = region_b->rkey(),
+                          .payload = pattern(8192, 4)}).is_ok());
   sim.run();
   EXPECT_EQ(Bytes(region_b->bytes(), region_b->bytes() + 8192), pattern(8192, 4));
   // Every segment is a slice of the WQE buffer: the whole message is counted
@@ -161,8 +167,10 @@ TEST_F(AliasFixture, MultiPacketWriteSharesOneBufferAcrossSegments) {
 
 TEST_F(AliasFixture, PayloadRefPostWriteSendsSlicesOfCallerBuffer) {
   PayloadRef whole(pattern(3000, 5));
-  ASSERT_TRUE(qp_a->post_write(3, whole.slice(1000, 1500), region_b->vaddr() + 16,
-                               region_b->rkey())
+  ASSERT_TRUE(qp_a->post({.wr_id = 3,
+                          .remote_vaddr = region_b->vaddr() + 16,
+                          .rkey = region_b->rkey(),
+                          .payload = whole.slice(1000, 1500)})
                   .is_ok());
   sim.run();
   EXPECT_EQ(Bytes(region_b->bytes() + 16, region_b->bytes() + 16 + 1500),

@@ -55,7 +55,11 @@ struct AtomicsFixture : ::testing::Test {
 TEST_F(AtomicsFixture, CasSwapsOnMatchAndReportsOriginal) {
   set_word(0, 17);
   ASSERT_TRUE(
-      qp_a->post_cas(1, region_b->vaddr(), region_b->rkey(), /*compare=*/17, /*swap=*/99)
+      qp_a->post({.wr_id = 1,
+                  .opcode = Opcode::kCompareSwap,
+                  .remote_vaddr = region_b->vaddr(),
+                  .rkey = region_b->rkey(),
+                  .atomic = {.compare = 17, .swap_add = 99}})
           .is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
@@ -67,7 +71,11 @@ TEST_F(AtomicsFixture, CasSwapsOnMatchAndReportsOriginal) {
 TEST_F(AtomicsFixture, CasMismatchLeavesWordAndReportsOriginal) {
   set_word(8, 41);
   ASSERT_TRUE(
-      qp_a->post_cas(2, region_b->vaddr() + 8, region_b->rkey(), /*compare=*/7, /*swap=*/99)
+      qp_a->post({.wr_id = 2,
+                  .opcode = Opcode::kCompareSwap,
+                  .remote_vaddr = region_b->vaddr() + 8,
+                  .rkey = region_b->rkey(),
+                  .atomic = {.compare = 7, .swap_add = 99}})
           .is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
@@ -78,7 +86,11 @@ TEST_F(AtomicsFixture, CasMismatchLeavesWordAndReportsOriginal) {
 
 TEST_F(AtomicsFixture, FetchAddAccumulatesAndReportsEachOriginal) {
   for (u64 i = 0; i < 4; ++i) {
-    ASSERT_TRUE(qp_a->post_faa(10 + i, region_b->vaddr(), region_b->rkey(), 5).is_ok());
+    ASSERT_TRUE(qp_a->post({.wr_id = 10 + i,
+                            .opcode = Opcode::kFetchAdd,
+                            .remote_vaddr = region_b->vaddr(),
+                            .rkey = region_b->rkey(),
+                            .atomic = {.swap_add = 5}}).is_ok());
   }
   sim.run();
   ASSERT_EQ(completions_a.size(), 4u);
@@ -91,7 +103,11 @@ TEST_F(AtomicsFixture, FetchAddAccumulatesAndReportsEachOriginal) {
 
 TEST_F(AtomicsFixture, FetchAddZeroIsAnAtomicRead) {
   set_word(16, 0xdeadbeef);
-  ASSERT_TRUE(qp_a->post_faa(3, region_b->vaddr() + 16, region_b->rkey(), 0).is_ok());
+  ASSERT_TRUE(qp_a->post({.wr_id = 3,
+                          .opcode = Opcode::kFetchAdd,
+                          .remote_vaddr = region_b->vaddr() + 16,
+                          .rkey = region_b->rkey(),
+                          .atomic = {.swap_add = 0}}).is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
   EXPECT_EQ(completions_a[0].atomic_original, 0xdeadbeefu);
@@ -104,9 +120,14 @@ TEST_F(AtomicsFixture, MaskedCasComparesAndWritesOnlyMaskedBits) {
   const u64 stamp = 0x0000'1234'5678'9abcull;
   set_word(24, stamp);
   constexpr u64 kStampMask = (u64{1} << 48) - 1;
-  ASSERT_TRUE(qp_a->post_masked_cas(4, region_b->vaddr() + 24, region_b->rkey(),
-                                    /*compare=*/0, /*swap=*/u64{7} << 48,
-                                    /*compare_mask=*/0, /*swap_mask=*/~kStampMask)
+  ASSERT_TRUE(qp_a->post({.wr_id = 4,
+                          .opcode = Opcode::kMaskedCompareSwap,
+                          .remote_vaddr = region_b->vaddr() + 24,
+                          .rkey = region_b->rkey(),
+                          .atomic = {.compare = 0,
+                                     .swap_add = u64{7} << 48,
+                                     .compare_mask = 0,
+                                     .swap_mask = ~kStampMask}})
                   .is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
@@ -117,10 +138,14 @@ TEST_F(AtomicsFixture, MaskedCasComparesAndWritesOnlyMaskedBits) {
 
 TEST_F(AtomicsFixture, MaskedCasMismatchOnMaskedBitsLeavesWord) {
   set_word(32, u64{9} << 48);
-  ASSERT_TRUE(qp_a->post_masked_cas(5, region_b->vaddr() + 32, region_b->rkey(),
-                                    /*compare=*/u64{1} << 48, /*swap=*/0xff,
-                                    /*compare_mask=*/~((u64{1} << 48) - 1),
-                                    /*swap_mask=*/0xff)
+  ASSERT_TRUE(qp_a->post({.wr_id = 5,
+                          .opcode = Opcode::kMaskedCompareSwap,
+                          .remote_vaddr = region_b->vaddr() + 32,
+                          .rkey = region_b->rkey(),
+                          .atomic = {.compare = u64{1} << 48,
+                                     .swap_add = 0xff,
+                                     .compare_mask = ~((u64{1} << 48) - 1),
+                                     .swap_mask = 0xff}})
                   .is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
@@ -142,8 +167,16 @@ TEST_F(AtomicsFixture, ContendingConnectionsSerializeAtTheResponder) {
   qp_b2->connect(nic_a->ip(), qp_a2->qpn(), /*our_psn=*/2, /*expect=*/1);
 
   for (u64 i = 0; i < 8; ++i) {
-    ASSERT_TRUE(qp_a->post_faa(100 + i, region_b->vaddr(), region_b->rkey(), 1).is_ok());
-    ASSERT_TRUE(qp_a2->post_faa(200 + i, region_b->vaddr(), region_b->rkey(), 1).is_ok());
+    ASSERT_TRUE(qp_a->post({.wr_id = 100 + i,
+                            .opcode = Opcode::kFetchAdd,
+                            .remote_vaddr = region_b->vaddr(),
+                            .rkey = region_b->rkey(),
+                            .atomic = {.swap_add = 1}}).is_ok());
+    ASSERT_TRUE(qp_a2->post({.wr_id = 200 + i,
+                             .opcode = Opcode::kFetchAdd,
+                             .remote_vaddr = region_b->vaddr(),
+                             .rkey = region_b->rkey(),
+                             .atomic = {.swap_add = 1}}).is_ok());
   }
   sim.run();
   ASSERT_EQ(completions_a.size(), 8u);
@@ -158,7 +191,11 @@ TEST_F(AtomicsFixture, ContendingConnectionsSerializeAtTheResponder) {
 
 TEST_F(AtomicsFixture, MisalignedTargetFailsWithRemoteInvalidRequest) {
   ASSERT_TRUE(
-      qp_a->post_cas(6, region_b->vaddr() + 4, region_b->rkey(), 0, 1).is_ok());
+      qp_a->post({.wr_id = 6,
+                  .opcode = Opcode::kCompareSwap,
+                  .remote_vaddr = region_b->vaddr() + 4,
+                  .rkey = region_b->rkey(),
+                  .atomic = {.compare = 0, .swap_add = 1}}).is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
   EXPECT_EQ(completions_a[0].status, WcStatus::kRemoteInvalidRequest);
@@ -168,7 +205,11 @@ TEST_F(AtomicsFixture, MisalignedTargetFailsWithRemoteInvalidRequest) {
 TEST_F(AtomicsFixture, RegionWithoutAtomicPermissionNaks) {
   MemoryRegion& plain =
       mem_b.register_region(64, kAccessRemoteRead | kAccessRemoteWrite);
-  ASSERT_TRUE(qp_a->post_cas(7, plain.vaddr(), plain.rkey(), 0, 1).is_ok());
+  ASSERT_TRUE(qp_a->post({.wr_id = 7,
+                          .opcode = Opcode::kCompareSwap,
+                          .remote_vaddr = plain.vaddr(),
+                          .rkey = plain.rkey(),
+                          .atomic = {.compare = 0, .swap_add = 1}}).is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
   EXPECT_EQ(completions_a[0].status, WcStatus::kRemoteAccessError);
@@ -178,21 +219,53 @@ TEST_F(AtomicsFixture, RevokedWritePermissionFencesAtomicsToo) {
   // The Mu single-writer permission switch extends to atomics: a fenced-off
   // ex-leader cannot CAS consensus registers either.
   qp_b->set_allow_remote_write(false);
-  ASSERT_TRUE(qp_a->post_cas(8, region_b->vaddr(), region_b->rkey(), 0, 1).is_ok());
+  ASSERT_TRUE(qp_a->post({.wr_id = 8,
+                          .opcode = Opcode::kCompareSwap,
+                          .remote_vaddr = region_b->vaddr(),
+                          .rkey = region_b->rkey(),
+                          .atomic = {.compare = 0, .swap_add = 1}}).is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);
   EXPECT_EQ(completions_a[0].status, WcStatus::kRemoteAccessError);
   EXPECT_EQ(word_at(0), 0u);
 }
 
+TEST_F(AtomicsFixture, LostAtomicResponseIsReplayedNotReexecuted) {
+  // The responder executes the FAA, then its response is lost. The
+  // retransmitted request must be answered from the replay cache: a second
+  // execution would add 5 twice.
+  ASSERT_TRUE(qp_a->post({.wr_id = 1,
+                          .opcode = Opcode::kFetchAdd,
+                          .remote_vaddr = region_b->vaddr(),
+                          .rkey = region_b->rkey(),
+                          .atomic = {.swap_add = 5}})
+                  .is_ok());
+  while (qp_b->messages_received() == 0) sim.run_for(10);
+  link.cut();
+  sim.schedule(50'000, [&] { link.restore(); });
+  sim.run();
+  ASSERT_EQ(completions_a.size(), 1u);
+  EXPECT_EQ(completions_a[0].status, WcStatus::kSuccess);
+  EXPECT_EQ(completions_a[0].atomic_original, 0u);
+  EXPECT_EQ(word_at(0), 5u);
+  EXPECT_GE(qp_a->retransmissions(), 1u);
+}
+
 TEST_F(AtomicsFixture, AtomicResponseCompletesPriorUnsignaledWrites) {
   // The one-sided fast path: an unsignaled write followed by a signaled CAS
   // on the same QP; the single CAS completion proves the write landed.
   Bytes data(256, 0x5a);
-  ASSERT_TRUE(qp_a->post_write(0, data, region_b->vaddr() + 1024, region_b->rkey(),
-                               /*signaled=*/false)
+  ASSERT_TRUE(qp_a->post({.wr_id = 0,
+                          .remote_vaddr = region_b->vaddr() + 1024,
+                          .rkey = region_b->rkey(),
+                          .payload = Bytes(data),
+                          .signaled = false})
                   .is_ok());
-  ASSERT_TRUE(qp_a->post_cas(9, region_b->vaddr(), region_b->rkey(), 0, 1).is_ok());
+  ASSERT_TRUE(qp_a->post({.wr_id = 9,
+                          .opcode = Opcode::kCompareSwap,
+                          .remote_vaddr = region_b->vaddr(),
+                          .rkey = region_b->rkey(),
+                          .atomic = {.compare = 0, .swap_add = 1}}).is_ok());
   sim.run();
   ASSERT_EQ(completions_a.size(), 1u);  // only the CAS completes
   EXPECT_EQ(completions_a[0].wr_id, 9u);

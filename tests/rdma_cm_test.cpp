@@ -85,8 +85,10 @@ TEST_F(CmFixture, ConnectedQpsCarryTraffic) {
                       [&](StatusOr<CmAgent::ConnectResult> r) {
                         ASSERT_TRUE(r.is_ok());
                         ASSERT_TRUE(client_qp
-                                        .post_write(9, to_bytes("payload"), region.vaddr(),
-                                                    region.rkey())
+                                        .post({.wr_id = 9,
+                                               .remote_vaddr = region.vaddr(),
+                                               .rkey = region.rkey(),
+                                               .payload = to_bytes("payload")})
                                         .is_ok());
                         wrote = true;
                       });
