@@ -23,11 +23,6 @@ void ControlPlane::send_packet(net::Packet packet) {
   device_.inject_from_cpu(std::move(packet));
 }
 
-const GroupSpec* ControlPlane::find_group(Qpn bcast_qpn) const noexcept {
-  auto it = groups_.find(bcast_qpn);
-  return it == groups_.end() ? nullptr : &it->second.spec;
-}
-
 void ControlPlane::on_punt(net::Packet packet, u32 /*ingress_port*/) {
   if (!packet.cm) return;
   const rdma::CmMessage& msg = *packet.cm;

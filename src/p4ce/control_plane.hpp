@@ -46,9 +46,6 @@ class ControlPlane : public rdma::PacketIo {
   /// Number of groups currently installed.
   std::size_t active_groups() const noexcept { return groups_.size(); }
 
-  /// Introspection for tests: the installed spec for a BCast QPN.
-  const GroupSpec* find_group(Qpn bcast_qpn) const noexcept;
-
  private:
   struct GroupRecord {
     GroupSpec spec;

@@ -57,8 +57,6 @@ class CompletionQueue {
     return c;
   }
 
-  std::size_t depth() const noexcept { return entries_.size(); }
-
   void set_callback(std::function<void(const Completion&)> cb) { callback_ = std::move(cb); }
 
  private:

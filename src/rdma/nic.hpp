@@ -72,7 +72,6 @@ class Nic : public net::PacketSink, public PacketIo {
   /// Select which attached path outbound packets use (fail-over to the
   /// backup route after a switch crash, §III-A "Faulty switch").
   void set_active_path(u32 path_index);
-  u32 active_path() const noexcept { return active_path_; }
 
   /// Create a reliable-connection QP on this NIC.
   QueuePair& create_qp(CompletionQueue& cq, QpConfig config = {});
