@@ -81,10 +81,11 @@ SimTime Link::send(int from, Packet packet) {
 
   PacketSink* dst = ends_[1 - from];
   const u64 epoch = epoch_;
-  sim_.schedule_at(done + propagation_, [this, dst, epoch, p = std::move(packet)]() mutable {
-    if (epoch_ != epoch || cut_) return;  // severed
-    dst->deliver(std::move(p));
-  });
+  sim_.schedule_at(done + propagation_,
+                   sim::inline_event([this, dst, epoch, p = std::move(packet)]() mutable {
+                     if (epoch_ != epoch || cut_) return;  // severed
+                     dst->deliver(std::move(p));
+                   }));
   return done;
 }
 

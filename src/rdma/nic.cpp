@@ -53,10 +53,10 @@ void Nic::send_packet(net::Packet packet) {
   const SimTime start = std::max(tx_busy_until_, sim_.now());
   tx_busy_until_ = start + config_.tx_per_packet;
   const u32 path = active_path_;
-  sim_.schedule_at(tx_busy_until_, [this, path, p = std::move(packet)]() mutable {
+  sim_.schedule_at(tx_busy_until_, sim::inline_event([this, path, p = std::move(packet)]() mutable {
     if (!powered_ || path >= paths_.size()) return;
     paths_[path].link->send(paths_[path].end, std::move(p));
-  });
+  }));
 }
 
 void Nic::deliver(net::Packet packet) {
@@ -71,11 +71,11 @@ void Nic::deliver(net::Packet packet) {
   ++rx_pending_;
   const SimTime start = std::max(rx_busy_until_, sim_.now());
   rx_busy_until_ = start + config_.rx_per_packet;
-  sim_.schedule_at(rx_busy_until_, [this, p = std::move(packet)]() mutable {
+  sim_.schedule_at(rx_busy_until_, sim::inline_event([this, p = std::move(packet)]() mutable {
     if (rx_pending_ > 0) --rx_pending_;
     if (!powered_) return;
     dispatch(std::move(p));
-  });
+  }));
 }
 
 void Nic::dispatch(net::Packet packet) {

@@ -340,8 +340,11 @@ void QueuePair::retire_through(const net::Packet& response, bool inclusive) {
     progressed = true;
   }
   if (progressed) retry_count_ = 0;
-  retransmit_timer_.cancel();
-  if (!inflight_.empty()) arm_timer();
+  if (inflight_.empty()) {
+    retransmit_timer_.cancel();
+  } else {
+    arm_timer();
+  }
   pump_send_queue();
 }
 
@@ -359,6 +362,9 @@ void QueuePair::complete(Wqe& wqe, WcStatus status) {
 }
 
 void QueuePair::arm_timer() {
+  // A pending timer is pushed back in place, so a QP keeps one queue entry
+  // however many ACKs re-arm it.
+  if (retransmit_timer_.postpone(config_.retransmit_timeout)) return;
   retransmit_timer_.cancel();
   retransmit_timer_ = sim_.schedule(config_.retransmit_timeout, [this] { on_timeout(); });
 }

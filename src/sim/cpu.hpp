@@ -20,14 +20,16 @@ class CpuExecutor {
   CpuExecutor& operator=(const CpuExecutor&) = delete;
 
   /// Occupy the core for `cost` ns, then run `fn`. Tasks run in submission
-  /// order; a saturated core accumulates backlog (queueing latency).
-  void execute(Duration cost, EventFn fn) {
+  /// order; a saturated core accumulates backlog (queueing latency). The
+  /// task is built in its event slot, like any other event.
+  template <class F>
+  void execute(Duration cost, F&& fn) {
     if (halted_) return;
     const SimTime start = std::max(busy_until_, sim_.now());
     busy_until_ = start + cost;
     busy_ns_ += cost;
     ++tasks_;
-    sim_.schedule_at(busy_until_, [this, f = std::move(fn)] {
+    sim_.schedule_at(busy_until_, [this, f = std::forward<F>(fn)]() mutable {
       if (!halted_) f();
     });
   }

@@ -18,27 +18,30 @@ void note_event_heap_alloc() noexcept {
 
 // --- Scheduling --------------------------------------------------------------
 
-EventHandle Simulator::schedule_impl(SimTime when, detail::SmallFn fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  u32 index;
+u32 Simulator::acquire_slot() {
   if (!free_slots_.empty()) {
-    index = free_slots_.back();
+    const u32 index = free_slots_.back();
     free_slots_.pop_back();
-  } else {
-    if (slot_count_ == slab_.size() * kSlabChunkSlots) {
-      slab_.push_back(std::make_unique<EventSlot[]>(kSlabChunkSlots));
-    }
-    index = slot_count_++;
+    return index;
   }
+  if (slot_count_ == slab_.size() * kSlabChunkSlots) {
+    slab_.push_back(std::make_unique<EventSlot[]>(kSlabChunkSlots));
+  }
+  return slot_count_++;
+}
+
+EventHandle Simulator::arm(u32 index, SimTime when) {
+  assert(when >= now_ && "cannot schedule into the past");
   EventSlot& slot = slot_at(index);
-  slot.fn = std::move(fn);
+  slot.when = when;
+  slot.seq = next_seq_++;
   slot.armed = true;
   const u64 gen = ++slot.gen;
-  queue_.push(QueueEntry{when, next_seq_++, index, gen});
+  queue_.push(QueueEntry{when, slot.seq, index, gen});
   return EventHandle(this, index, gen);
 }
 
-// --- Cancellation ------------------------------------------------------------
+// --- Cancellation and postponement -------------------------------------------
 
 void Simulator::cancel_event(u32 slot_index, u64 gen) noexcept {
   if (slot_index >= slot_count_) return;
@@ -49,6 +52,18 @@ void Simulator::cancel_event(u32 slot_index, u64 gen) noexcept {
   slot.armed = false;
   slot.fn.reset();
   free_slots_.push_back(slot_index);
+}
+
+bool Simulator::postpone_event(u32 slot_index, u64 gen, Duration delay) noexcept {
+  if (slot_index >= slot_count_) return false;
+  EventSlot& slot = slot_at(slot_index);
+  const SimTime when = now_ + delay;
+  if (slot.gen != gen || !slot.armed || when < slot.when) return false;
+  // Take the ticket schedule() would take now. The queue entry keeps the
+  // old, earlier key until it reaches the top; step() then re-keys it.
+  slot.when = when;
+  slot.seq = next_seq_++;
+  return true;
 }
 
 bool Simulator::event_pending(u32 slot_index, u64 gen) const noexcept {
@@ -65,16 +80,22 @@ bool Simulator::step() {
   queue_.pop();
   now_ = entry.when;
   EventSlot& slot = slot_at(entry.slot);
-  if (slot.gen == entry.gen && slot.armed) {
-    // Move the callable out and recycle the slot *before* invoking: the
-    // event may schedule new work (possibly growing the slab) or cancel
-    // other events.
-    detail::SmallFn fn = std::move(slot.fn);
-    slot.armed = false;
-    free_slots_.push_back(entry.slot);
-    ++executed_;
-    fn();
+  if (slot.gen != entry.gen || !slot.armed) return true;  // cancelled
+  if (slot.seq != entry.seq) {
+    // Postponed: the entry goes back under the slot's current key, where
+    // cancel() + schedule() would have put a fresh one.
+    queue_.push(QueueEntry{slot.when, slot.seq, entry.slot, entry.gen});
+    return true;
   }
+  // Run the callable where it was built. Disarm first, so the event can
+  // neither cancel nor postpone itself; recycle the slot only afterwards,
+  // so what the event schedules cannot reuse it while it runs. Chunks never
+  // move, so `slot` stays valid if the event grows the slab.
+  slot.armed = false;
+  ++executed_;
+  slot.fn();
+  slot.fn.reset();
+  free_slots_.push_back(entry.slot);
   return true;
 }
 

@@ -35,24 +35,24 @@ void SwitchDevice::on_port_rx(u32 port, net::Packet packet) {
   const SimTime parsed = ports_[port]->ingress_parser().admit(sim_.now());
   ports_[port]->note_ingress_backlog(sim_.now());
   sim_.schedule_at(parsed + config_.ingress_latency,
-                   [this, port, p = std::move(packet)]() mutable {
+                   sim::inline_event([this, port, p = std::move(packet)]() mutable {
                      if (!powered_) return;
                      PacketContext ctx;
                      ctx.packet = std::move(p);
                      ctx.ingress_port = port;
                      run_ingress(std::move(ctx));
-                   });
+                   }));
 }
 
 void SwitchDevice::inject_from_cpu(net::Packet packet) {
   if (!powered_ || program_ == nullptr) return;
-  sim_.schedule(config_.punt_latency, [this, p = std::move(packet)]() mutable {
+  sim_.schedule(config_.punt_latency, sim::inline_event([this, p = std::move(packet)]() mutable {
     if (!powered_) return;
     PacketContext ctx;
     ctx.packet = std::move(p);
     ctx.ingress_port = kCpuPort;
     run_ingress(std::move(ctx));
-  });
+  }));
 }
 
 void SwitchDevice::run_ingress(PacketContext ctx) {
@@ -71,9 +71,10 @@ void SwitchDevice::route(PacketContext ctx) {
     m_punts_->inc();
     if (!cpu_handler_) return;
     sim_.schedule(config_.punt_latency,
-                  [this, p = std::move(ctx.packet), port = ctx.ingress_port]() mutable {
-                    if (powered_ && cpu_handler_) cpu_handler_(std::move(p), port);
-                  });
+                  sim::inline_event(
+                      [this, p = std::move(ctx.packet), port = ctx.ingress_port]() mutable {
+                        if (powered_ && cpu_handler_) cpu_handler_(std::move(p), port);
+                      }));
     return;
   }
   if (ctx.mcast_group) {
@@ -112,16 +113,17 @@ void SwitchDevice::run_egress(PacketContext ctx) {
   }
   const SimTime parsed = ports_[ctx.egress_port]->egress_parser().admit(sim_.now());
   ports_[ctx.egress_port]->note_egress_backlog(sim_.now());
-  sim_.schedule_at(parsed + config_.egress_latency, [this, c = std::move(ctx)]() mutable {
-    if (!powered_) return;
-    program_->egress(c);
-    if (c.drop) {
-      ++egress_drops_;
-      m_egress_drops_->inc();
-      return;
-    }
-    ports_[c.egress_port]->transmit(std::move(c.packet));
-  });
+  sim_.schedule_at(parsed + config_.egress_latency,
+                   sim::inline_event([this, c = std::move(ctx)]() mutable {
+                     if (!powered_) return;
+                     program_->egress(c);
+                     if (c.drop) {
+                       ++egress_drops_;
+                       m_egress_drops_->inc();
+                       return;
+                     }
+                     ports_[c.egress_port]->transmit(std::move(c.packet));
+                   }));
 }
 
 // ---------------------------------------------------------------------------

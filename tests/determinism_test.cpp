@@ -69,6 +69,24 @@ TEST_P(DeterminismTest, IdenticalRunsAreBitForBitEqual) {
   EXPECT_EQ(first.leader_tx_bytes, second.leader_tx_bytes);
 }
 
+// Every event callable is built in its slab slot, and the per-packet hop
+// closures fit the slot's inline buffer, so a cluster runs its setup and a
+// few hundred commits without a single heap-allocated event.
+TEST_P(DeterminismTest, CommitsWithoutHeapAllocatedEvents) {
+  const obs::Counter& allocs = obs::MetricsRegistry::global().counter("sim.events_alloc");
+  const u64 before = allocs.value();
+  core::ClusterOptions options;
+  options.machines = 3;
+  options.mode = GetParam();
+  auto cluster = core::Cluster::create(options);
+  ASSERT_TRUE(cluster->start());
+  const auto result = workload::run_closed_loop(*cluster, /*value_size=*/64, /*window=*/16,
+                                                /*ops=*/300, /*warmup=*/50);
+  EXPECT_GE(result.operations, 300u);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(allocs.value(), before);
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, DeterminismTest,
                          ::testing::Values(consensus::Mode::kP4ce, consensus::Mode::kMu,
                                            consensus::Mode::kOneSided));
