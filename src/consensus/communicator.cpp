@@ -96,15 +96,18 @@ u32 DirectCommunicator::live_target_count() const noexcept {
 }
 
 void DirectCommunicator::write_raw(u64 offset, Bytes bytes) {
+  // One immutable buffer; each replica's post holds a reference to it. The
+  // local is not const, so a closure's copy moves on instead of copying.
+  net::PayloadRef payload(std::move(bytes));
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, bytes] {
+    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, payload]() mutable {
       if (i >= targets_.size()) return;
       ReplicaTarget& target = targets_[i];
       if (target.excluded || target.qp == nullptr) return;
       std::ignore = target.qp->post({.remote_vaddr = target.log_vaddr + offset,
                                      .rkey = target.log_rkey,
-                                     .payload = Bytes(bytes),
+                                     .payload = std::move(payload),
                                      .signaled = false});
     });
   }
@@ -136,11 +139,13 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
   // serialization is exactly why "the leader divides its own network
   // capacity by the number of replicas" also costs it CPU (§I, §V-C).
   // Targets are addressed by index: reset_targets() may replace the vector
-  // while these posts sit in the CPU queue.
+  // while these posts sit in the CPU queue. The posts share one immutable
+  // buffer; `payload` is not const, so a closure's copy moves on into post().
   const SimTime t_replicate = sim_.now();
+  net::PayloadRef payload(std::move(entry));
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
-    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, entry, seq, t_replicate] {
+    cpu_.execute(cal_.cpu_post_wr, [this, i, offset, payload, seq, t_replicate]() mutable {
       if (i >= targets_.size()) return;
       ReplicaTarget& target = targets_[i];
       if (target.excluded || target.qp == nullptr) return;
@@ -153,7 +158,7 @@ void MuCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn done) {
       const Status st = target.qp->post({.wr_id = seq,
                                          .remote_vaddr = target.log_vaddr + offset,
                                          .rkey = target.log_rkey,
-                                         .payload = Bytes(entry)});
+                                         .payload = std::move(payload)});
       if (!st.is_ok()) {
         target.excluded = true;
         fail_if_quorum_lost();
