@@ -191,7 +191,8 @@ struct ScatterProgram : sw::PipelineProgram {
 
 /// The §III scatter path: one ingress stream replicated to `replicas` egress
 /// ports at line rate. Reports packets/sec (egress copies delivered per
-/// wall-clock second) and the payload bytes copied vs shared underneath.
+/// wall-clock second), the payload bytes copied vs shared underneath, and
+/// the heap-allocated events (0: every hop closure fits its event slot).
 void run_scatter_workload(workload::BenchSession& session, workload::Table& table) {
   constexpr u32 kReplicas = 5;
   constexpr u32 kPackets = 20'000;
@@ -199,6 +200,7 @@ void run_scatter_workload(workload::BenchSession& session, workload::Table& tabl
 
   const u64 copied_before = counter_value("net.payload_bytes_copied");
   const u64 shared_before = counter_value("net.payload_bytes_shared");
+  const u64 alloc_before = counter_value("sim.events_alloc");
 
   const auto t0 = std::chrono::steady_clock::now();
   sim::Simulator sim;
@@ -233,10 +235,12 @@ void run_scatter_workload(workload::BenchSession& session, workload::Table& tabl
   const double pkts_per_sec = static_cast<double>(delivered) / secs;
   const u64 copied = counter_value("net.payload_bytes_copied") - copied_before;
   const u64 shared = counter_value("net.payload_bytes_shared") - shared_before;
+  const u64 allocs = counter_value("sim.events_alloc") - alloc_before;
 
   session.add_value("scatter_packets_per_sec", pkts_per_sec);
   session.add_value("scatter_payload_bytes_copied", static_cast<double>(copied));
   session.add_value("scatter_payload_bytes_shared", static_cast<double>(shared));
+  session.add_value("scatter_events_heap_allocs", static_cast<double>(allocs));
   table.add_row({"scatter x5 (1 KiB)", workload::Table::fmt(pkts_per_sec / 1e6, 3) + " Mpkt/s",
                  std::to_string(copied), std::to_string(shared),
                  std::to_string(sim.events_executed())});

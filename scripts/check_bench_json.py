@@ -14,6 +14,10 @@ are passed:
     "values" object and a "tables" array of {title, columns, rows};
   * latency-named values are non-negative (table *cells* are exempt —
     tab4 legitimately prints "-1.00" for a timed-out scenario);
+  * the metrics snapshot, when present, shows no heap-allocated event: the
+    `sim.events_alloc` counter is absent or 0 (every event callable is built
+    in its slab slot and the per-packet hop closures fit the inline buffer,
+    so one allocation is a regression; gated exactly);
   * an "attribution" report, when present, has non-negative stage
     histograms with monotone p50 <= p99 <= p999;
   * SERIES files carry p4ce-series-v1 with column-aligned frames;
@@ -93,6 +97,10 @@ def check_bench(path, doc):
             if len(row) != len(columns):
                 ok = fail(path, f"tables[{i}].rows[{j}]: {len(row)} cells vs "
                                 f"{len(columns)} columns")
+    allocs = doc.get("metrics", {}).get("sim.events_alloc", {}).get("value", 0)
+    if allocs > 0:
+        ok = fail(path, f"metrics.sim.events_alloc = {allocs:g}, want 0 "
+                        "(an event callable fell back to the heap)")
     attribution = doc.get("attribution")
     if attribution is not None:
         if not isinstance(attribution.get("rounds"), int):
