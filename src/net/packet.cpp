@@ -67,25 +67,27 @@ Packet Packet::decode(BytesView bytes, bool* ok) {
   return p;
 }
 
-SimTime Link::send(int from, Packet packet) {
-  const SimTime now = sim_.now();
-  if (is_cut() || ends_[1 - from] == nullptr) return now;
+void PacketSink::arrive(Link& link, int from, SimTime sent, Packet packet, SimTime at) {
+  sim::Simulator& sim = link.simulator();
+  sim.schedule_at(at, link.delivery_lineage(sent),
+                  sim::inline_event([&link, from, sent, p = std::move(packet)]() mutable {
+                    if (!link.carried(from, sent, link.simulator().now())) return;  // severed
+                    link.end(1 - from)->deliver(std::move(p));
+                  }));
+}
+
+SimTime Link::send(int from, Packet packet, SimTime sent) {
+  if (is_cut() || ends_[1 - from] == nullptr) return sent;
 
   const Duration ser = serialization_delay(packet.wire_size(), bandwidth_gbps_);
   SimTime& busy = busy_until_[from];
-  const SimTime start = std::max(busy, now);
+  const SimTime start = std::max(busy, sent);
   const SimTime done = start + ser;
   busy = done;
   wire_bytes_[from] += packet.wire_size();
   ++packets_[from];
 
-  PacketSink* dst = ends_[1 - from];
-  const u64 epoch = epoch_;
-  sim_.schedule_at(done + propagation_,
-                   sim::inline_event([this, dst, epoch, p = std::move(packet)]() mutable {
-                     if (epoch_ != epoch || cut_) return;  // severed
-                     dst->deliver(std::move(p));
-                   }));
+  ends_[1 - from]->arrive(*this, from, sent, std::move(packet), done + propagation_);
   return done;
 }
 

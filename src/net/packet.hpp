@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/time.hpp"
@@ -76,11 +77,55 @@ struct Packet {
   static Packet decode(BytesView bytes, bool* ok = nullptr);
 };
 
+/// When a component (link, NIC, switch) was down. A packet hop whose
+/// downstream time is computed at hand-over asks, when its next event runs,
+/// whether the component was up at the instants that mattered, so a power
+/// loss or a cut takes effect at its own time, not at the next event.
+class Downtime {
+ public:
+  void down(SimTime at) {
+    if (!is_down()) spans_.push_back(Span{at, kTimeNever});
+  }
+  void up(SimTime at) noexcept {
+    if (is_down()) spans_.back().end = at;
+  }
+  bool is_down() const noexcept { return !spans_.empty() && spans_.back().end == kTimeNever; }
+
+  /// True if the component was up at every instant of [from, to].
+  bool up_throughout(SimTime from, SimTime to) const noexcept {
+    for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
+      if (it->end <= from) return true;  // spans are ordered: the rest end earlier
+      if (it->begin <= to) return false;
+    }
+    return true;
+  }
+  bool up_at(SimTime at) const noexcept { return up_throughout(at, at); }
+
+ private:
+  struct Span {
+    SimTime begin;
+    SimTime end;  ///< exclusive; kTimeNever while still down
+  };
+  std::vector<Span> spans_;
+};
+
+class Link;
+
 /// Anything that can accept a delivered packet (NIC, switch port, ...).
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void deliver(Packet packet) = 0;
+
+  /// Hand-over from `link`: `packet` left the far end (endpoint `from`) at
+  /// `sent` and reaches this end at `at` (>= now). The default schedules a
+  /// delivery event at `at` that drops the packet unless
+  /// `link.carried(from, sent, at)`; a sink with a single FIFO feeder may
+  /// instead fold the arrival into its own next event.
+  virtual void arrive(Link& link, int from, SimTime sent, Packet packet, SimTime at);
+
+  /// Whether this end was transmitting at `at` (<= now).
+  virtual bool up_at(SimTime /*at*/) const noexcept { return true; }
 };
 
 /// Full-duplex point-to-point link. Each direction serializes packets at
@@ -99,18 +144,34 @@ class Link {
     ends_[0] = end0;
     ends_[1] = end1;
   }
+  PacketSink* end(int index) const noexcept { return ends_[index]; }
+  sim::Simulator& simulator() noexcept { return sim_; }
 
-  /// Transmit `packet` from endpoint `from` (0 or 1) toward the other end.
+  /// Transmit `packet` from endpoint `from` (0 or 1) toward the other end,
+  /// handed to the link at `sent` (>= now). The sender must hand packets
+  /// over in `sent` order: each direction is a FIFO with one writer.
   /// Returns the simulated time at which the last bit leaves the sender.
-  SimTime send(int from, Packet packet);
+  SimTime send(int from, Packet packet, SimTime sent);
+  SimTime send(int from, Packet packet) { return send(from, std::move(packet), sim_.now()); }
+
+  /// The lineage of the delivery event for a packet handed over at `sent`:
+  /// the hop that hands it over at `sent` > now would have been scheduled
+  /// now and have scheduled the delivery at `sent`.
+  sim::Lineage delivery_lineage(SimTime sent) const noexcept {
+    return sent == sim_.now() ? sim_.lineage() : sim::Lineage{sent, sim_.now()};
+  }
+
+  /// Whether a packet handed over at `sent` by endpoint `from` reaches the
+  /// other end at `at`: the sender was up at `sent` and the link was not
+  /// cut at any instant in between.
+  bool carried(int from, SimTime sent, SimTime at) const noexcept {
+    return ends_[from]->up_at(sent) && cuts_.up_throughout(sent, at);
+  }
 
   /// Sever the link (both directions). In-flight deliveries are suppressed.
-  void cut() noexcept {
-    ++epoch_;
-    cut_ = true;
-  }
-  void restore() noexcept { cut_ = false; }
-  bool is_cut() const noexcept { return cut_; }
+  void cut() { cuts_.down(sim_.now()); }
+  void restore() noexcept { cuts_.up(sim_.now()); }
+  bool is_cut() const noexcept { return cuts_.is_down(); }
 
   /// Total payload-carrying bytes sent per direction (wire bytes).
   u64 wire_bytes_sent(int from) const noexcept { return wire_bytes_[from]; }
@@ -124,8 +185,7 @@ class Link {
   SimTime busy_until_[2] = {0, 0};
   u64 wire_bytes_[2] = {0, 0};
   u64 packets_[2] = {0, 0};
-  u64 epoch_ = 0;  ///< bumped on cut(); stale deliveries check it
-  bool cut_ = false;
+  Downtime cuts_;
 };
 
 }  // namespace p4ce::net

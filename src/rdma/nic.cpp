@@ -46,21 +46,21 @@ QueuePair* Nic::find_qp(Qpn qpn) noexcept {
 void Nic::destroy_qp(Qpn qpn) { qps_.erase(qpn); }
 
 void Nic::send_packet(net::Packet packet) {
-  if (!powered_ || paths_.empty()) return;
+  if (!powered() || paths_.empty()) return;
   ++tx_count_;
   // Per-packet transmit processing models the NIC's message rate limit; it
-  // pipelines with (does not add to) link serialization.
+  // pipelines with (does not add to) link serialization. The tx queue is
+  // the only sender on its link direction and leaves in FIFO order, so the
+  // link takes the packet now, stamped with the instant it leaves the NIC;
+  // the link drops it if the NIC is off by then.
   const SimTime start = std::max(tx_busy_until_, sim_.now());
   tx_busy_until_ = start + config_.tx_per_packet;
-  const u32 path = active_path_;
-  sim_.schedule_at(tx_busy_until_, sim::inline_event([this, path, p = std::move(packet)]() mutable {
-    if (!powered_ || path >= paths_.size()) return;
-    paths_[path].link->send(paths_[path].end, std::move(p));
-  }));
+  const Path& path = paths_[active_path_];
+  path.link->send(path.end, std::move(packet), tx_busy_until_);
 }
 
 void Nic::deliver(net::Packet packet) {
-  if (!powered_) return;
+  if (!powered()) return;
   ++rx_count_;
   if (rx_pending_ >= config_.rx_buffer_capacity) {
     // Receive buffer exhausted: the card tail-drops, exactly the overload
@@ -73,7 +73,7 @@ void Nic::deliver(net::Packet packet) {
   rx_busy_until_ = start + config_.rx_per_packet;
   sim_.schedule_at(rx_busy_until_, sim::inline_event([this, p = std::move(packet)]() mutable {
     if (rx_pending_ > 0) --rx_pending_;
-    if (!powered_) return;
+    if (!powered()) return;
     dispatch(std::move(p));
   }));
 }

@@ -89,9 +89,13 @@ class Nic : public net::PacketSink, public PacketIo {
   /// Credits this NIC currently advertises in outgoing ACKs.
   u8 current_credits() const noexcept;
 
-  /// Emulate host/NIC death: stop all processing, drop all traffic.
-  void power_off() noexcept { powered_ = false; }
-  bool powered() const noexcept { return powered_; }
+  /// Emulate host/NIC death: stop all processing, drop all traffic,
+  /// including packets still queued for transmission.
+  void power_off() { downtime_.down(sim_.now()); }
+  bool powered() const noexcept { return !downtime_.is_down(); }
+  /// PacketSink: a packet this NIC handed to a link at `at` leaves only if
+  /// the NIC was still powered then.
+  bool up_at(SimTime at) const noexcept override { return downtime_.up_at(at); }
 
   u64 packets_sent() const noexcept { return tx_count_; }
   u64 packets_received() const noexcept { return rx_count_; }
@@ -131,7 +135,7 @@ class Nic : public net::PacketSink, public PacketIo {
   /// own (e.g. stragglers to a QP destroyed by a crash).
   obs::Counter& no_qp_drops_;
   u64 rx_overflow_count_ = 0;
-  bool powered_ = true;
+  net::Downtime downtime_;
 };
 
 }  // namespace p4ce::rdma

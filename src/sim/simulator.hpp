@@ -1,18 +1,25 @@
-// Discrete-event simulation kernel: one priority queue of (when, seq)
-// ordered events, executed serially. Equal-time events run in scheduling
-// order, so a program always executes the same events in the same order.
+// Discrete-event simulation kernel: one priority queue of events ordered
+// by time, executed serially. Equal-time events run in scheduling order, so
+// a program always executes the same events in the same order. "Scheduling
+// order" is spelled out as a key (when, lineage, seq): the instant an event
+// was scheduled, the instant its scheduler was scheduled, then a global
+// ticket. For events scheduled from running events that is exactly ticket
+// order. A packet hop folded into its predecessor (see net::Link) schedules
+// its successor early but names the lineage the folded hop would have
+// given it, so the successor keeps its place among equal-time events.
 //
 // Allocation-free in steady state. Each event lives in a slot of a chunked
 // slab whose chunks never move: schedule_at() builds the callable directly
 // in its slot's SmallFn, and step() runs it there, so a callable is never
 // relocated. The inline budget is sized from the largest per-packet hop
 // closure, so packet events stay inline; a larger capture falls back to the
-// heap and bumps the `sim.events_alloc` counter. Cancellation uses
-// generation counters, and postpone() re-arms a pending event in its slot,
-// so a timer that is pushed back on every ACK keeps one queue entry. The
+// heap and bumps the `sim.events_alloc` counter. Cancellation compares
+// arm tickets, and postpone() re-arms a pending event in its slot, so a
+// timer that is pushed back on every ACK keeps one queue entry. The
 // priority queue itself holds only 32-byte POD entries.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -42,11 +49,12 @@ void note_event_heap_alloc() noexcept;
 /// lives on the heap (counted).
 class SmallFn {
  public:
-  /// The largest closure the simulation schedules per packet hop: the switch
-  /// egress event, `[this, sw::PacketContext]` (8 + 320 B on x86-64 with
-  /// libstdc++). Every hop closure goes through inline_event(), so one that
-  /// outgrows this budget fails to compile instead of allocating.
-  static constexpr std::size_t kInlineBytes = 328;
+  /// The largest closure the simulation schedules per packet hop: a
+  /// `net::Packet` (272 B on x86-64 with libstdc++) plus three words, as in
+  /// the link delivery and switch ingress events. Every hop closure goes
+  /// through inline_event(), so one that outgrows this budget fails to
+  /// compile instead of allocating.
+  static constexpr std::size_t kInlineBytes = 296;
 
   template <class D>
   static constexpr bool fits_inline =
@@ -122,9 +130,19 @@ constexpr F&& inline_event(F&& fn) noexcept {
 
 class Simulator;
 
+/// Where an event sits among events at the same instant: the instant it was
+/// scheduled at, and the instant the event that scheduled it was itself
+/// scheduled at. Simulator::lineage() gives what an event scheduled now
+/// gets; an event scheduled on behalf of a hop that runs later names that
+/// hop's instants instead.
+struct Lineage {
+  SimTime scheduled = 0;
+  SimTime parent_scheduled = 0;
+};
+
 /// Handle to a scheduled event; allows cancellation (e.g. retransmit timers).
-/// A handle is a (slot, generation) ticket into the event slab:
-/// cancel/pending compare generations, so handles to long-fired or recycled
+/// A handle is a (slot, arm ticket) pair into the event slab:
+/// cancel/pending compare tickets, so handles to long-fired or recycled
 /// slots are always safely inert. Handles must not outlive the Simulator.
 class EventHandle {
  public:
@@ -135,7 +153,7 @@ class EventHandle {
 
   /// Move a pending event to `delay` ns from now, keeping its callable and
   /// its handle. Same effect as cancel() followed by schedule() of the same
-  /// callable: the event takes its (when, seq) tie-break ticket now, so all
+  /// callable: the event takes its (when, lineage, seq) key now, so all
   /// events run in the same order. (If the event is then cancelled, its
   /// queue entry is dropped at the old time, so the clock a draining run()
   /// stops at can be earlier.) Returns false, and changes nothing, if the
@@ -148,11 +166,12 @@ class EventHandle {
  private:
   friend class Simulator;
 
-  EventHandle(Simulator* sim, u32 slot, u64 gen) noexcept : sim_(sim), slot_(slot), gen_(gen) {}
+  EventHandle(Simulator* sim, u32 slot, u64 ticket) noexcept
+      : sim_(sim), slot_(slot), ticket_(ticket) {}
 
   Simulator* sim_ = nullptr;
   u32 slot_ = 0;
-  u64 gen_ = 0;
+  u64 ticket_ = 0;
 };
 
 class Simulator {
@@ -173,10 +192,23 @@ class Simulator {
   /// callable is built in its event slot and runs there.
   template <class F>
   EventHandle schedule_at(SimTime when, F&& fn) {
+    return schedule_at(when, lineage(), std::forward<F>(fn));
+  }
+
+  /// Schedule `fn` at `when` as if the scheduling happened with `lineage`
+  /// (instants <= when): it runs before equal-time events whose lineage
+  /// compares greater, in ticket order among equal lineages.
+  template <class F>
+  EventHandle schedule_at(SimTime when, Lineage lineage, F&& fn) {
     const u32 index = acquire_slot();
     slot_at(index).fn.emplace(std::forward<F>(fn));
-    return arm(index, when);
+    return arm(index, when, lineage);
   }
+
+  /// The lineage an event scheduled now gets: now, and the scheduling
+  /// instant of the running event (or, outside events, of the last event
+  /// run at this instant; none means before them all).
+  Lineage lineage() const noexcept { return Lineage{now_, running_scheduled_}; }
 
   /// Run until the event queue drains or `stop()` is called.
   void run();
@@ -200,28 +232,32 @@ class Simulator {
  private:
   friend class EventHandle;
 
-  /// One recycled record in the event slab. `gen` is bumped every time the
-  /// slot is (re)armed, so queue entries and handles from earlier uses of
-  /// the slot can never touch the current occupant. `when` and `seq` are
-  /// the event's current key; postpone() moves them past the key of its
-  /// queue entry, which step() then re-keys instead of running.
+  /// One recycled record in the event slab. `ticket` is the seq the
+  /// pending occupant was armed with (0: none pending); handles carry it,
+  /// and a queue entry belongs to the occupant iff its seq is not older.
+  /// Tickets are never reused, so entries and handles from earlier uses of
+  /// the slot can never touch the current occupant. `when`, `tie` and `seq`
+  /// are the event's current key; postpone() moves them past the key of its
+  /// queue entry (the occupant's only one), which step() then re-keys
+  /// instead of running.
   struct EventSlot {
     SimTime when = 0;
+    u64 tie = 0;
     u64 seq = 0;
-    u64 gen = 0;
-    bool armed = false;
+    u64 ticket = 0;
     detail::SmallFn fn;
   };
   /// What the priority queue actually orders: plain PODs.
   struct QueueEntry {
     SimTime when;
+    u64 tie;
     u64 seq;
     u32 slot;
-    u64 gen;
   };
   struct Later {
     bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
+      if (a.tie != b.tie) return a.tie > b.tie;
       return a.seq > b.seq;
     }
   };
@@ -239,32 +275,50 @@ class Simulator {
   }
 
   u32 acquire_slot();  // an empty slot, recycled or new
-  EventHandle arm(u32 index, SimTime when);  // queue the slot's callable
+  EventHandle arm(u32 index, SimTime when, Lineage lineage);  // queue the slot's callable
+
+  // The lineage of an event at `when`, packed so that one integer compare
+  // orders it: how far back it was scheduled, then how far back from there
+  // its scheduler was, each saturated at 2^32 - 1 ns (4.3 s) and larger
+  // first. Saturation keeps the order: two saturated distances tie, and
+  // tickets then follow execution order.
+  static constexpr u64 kTieMax = 0xffff'ffffu;
+  static u64 tie_key(SimTime when, Lineage lineage) noexcept {
+    const u64 back = static_cast<u64>(when - lineage.scheduled);
+    const u64 parent_back = static_cast<u64>(lineage.scheduled - lineage.parent_scheduled);
+    return (kTieMax - std::min(back, kTieMax)) << 32 | (kTieMax - std::min(parent_back, kTieMax));
+  }
+  static SimTime scheduled_of(SimTime when, u64 tie) noexcept {
+    return when - static_cast<SimTime>(kTieMax - (tie >> 32));
+  }
   bool step();  // execute the earliest event; false if the queue is empty
-  void cancel_event(u32 slot, u64 gen) noexcept;
-  bool postpone_event(u32 slot, u64 gen, Duration delay) noexcept;
-  bool event_pending(u32 slot, u64 gen) const noexcept;
+  void cancel_event(u32 slot, u64 ticket) noexcept;
+  bool postpone_event(u32 slot, u64 ticket, Duration delay) noexcept;
+  bool event_pending(u32 slot, u64 ticket) const noexcept;
 
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later> queue_;
   std::vector<std::unique_ptr<EventSlot[]>> slab_;
   u32 slot_count_ = 0;
   std::vector<u32> free_slots_;
   SimTime now_ = 0;
-  u64 next_seq_ = 0;
+  /// lineage().parent_scheduled: the scheduling instant of the running
+  /// event, or of the last one run at now_; -1 if none ran at now_ yet.
+  SimTime running_scheduled_ = -1;
+  u64 next_seq_ = 1;  ///< 0 is no ticket
   u64 executed_ = 0;
   bool stopped_ = false;
 };
 
 inline void EventHandle::cancel() noexcept {
-  if (sim_ != nullptr) sim_->cancel_event(slot_, gen_);
+  if (sim_ != nullptr) sim_->cancel_event(slot_, ticket_);
 }
 
 inline bool EventHandle::postpone(Duration delay) noexcept {
-  return sim_ != nullptr && sim_->postpone_event(slot_, gen_, delay);
+  return sim_ != nullptr && sim_->postpone_event(slot_, ticket_, delay);
 }
 
 inline bool EventHandle::pending() const noexcept {
-  return sim_ != nullptr && sim_->event_pending(slot_, gen_);
+  return sim_ != nullptr && sim_->event_pending(slot_, ticket_);
 }
 
 /// A repeating timer built on the kernel; reschedules itself until stopped.

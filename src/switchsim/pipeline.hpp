@@ -8,6 +8,7 @@
 #include <array>
 #include <optional>
 
+#include "common/time.hpp"
 #include "common/types.hpp"
 #include "net/packet.hpp"
 
@@ -32,6 +33,10 @@ struct PacketContext {
   // Set by the traffic manager for each copy before egress.
   u16 replication_id = 0;
   u32 egress_port = 0;
+  /// The instant the egress stage completes (T4). The egress program runs
+  /// when the copy is admitted to the egress parser, so a program that
+  /// timestamps the copy reads this, not the clock.
+  SimTime egress_at = 0;
 
   // Program-defined metadata words.
   std::array<u32, 4> meta{};

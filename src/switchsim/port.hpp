@@ -52,6 +52,12 @@ class ParserModel {
 
 /// A physical port. Implements PacketSink so links can deliver straight into
 /// the switch with the port index attached.
+///
+/// Its link is the only feeder of its ingress parser and its egress parser
+/// the only sender on its link, both in FIFO order, so neither hand-over
+/// needs an event of its own: an arriving packet is admitted to the ingress
+/// parser at its arrival instant, and an egress copy is handed to the link
+/// stamped with its egress instant (see DESIGN.md §5.1).
 class Port : public net::PacketSink {
  public:
   Port(SwitchDevice& device, u32 index, double parser_pps);
@@ -61,10 +67,18 @@ class Port : public net::PacketSink {
     end_ = end;
   }
 
+  /// PacketSink: a packet arriving now.
   void deliver(net::Packet packet) override;
+  /// PacketSink: admit the packet to the ingress parser at `at` and
+  /// schedule its ingress stage; it is dropped there unless the link
+  /// carried it and the switch was up at `at` and still is.
+  void arrive(net::Link& link, int from, SimTime sent, net::Packet packet, SimTime at) override;
+  /// PacketSink: copies this port sent at `at` leave only if the switch was
+  /// up then.
+  bool up_at(SimTime at) const noexcept override;
 
-  /// Transmit a finished egress copy onto the wire.
-  void transmit(net::Packet packet);
+  /// Hand a finished egress copy to the wire at its egress instant `at`.
+  void transmit(net::Packet packet, SimTime at);
 
   u32 index() const noexcept { return index_; }
   net::Link* link() const noexcept { return link_; }
@@ -87,6 +101,8 @@ class Port : public net::PacketSink {
   int end_ = 0;
   ParserModel ingress_parser_;
   ParserModel egress_parser_;
+  void count_rx(const net::Packet& packet) noexcept;
+
   u64 rx_ = 0;
   u64 tx_ = 0;
   // Registry instruments, labelled {sw=<device>,port=<index>}; registered

@@ -17,10 +17,10 @@ SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name, Ipv4Addr ip,
 }
 
 void SwitchDevice::power_off() {
-  if (powered_ && obs::FlightRecorder::is_enabled()) {
+  if (powered() && obs::FlightRecorder::is_enabled()) {
     obs::FlightRecorder::global().trigger("switch_failure", sim_.now(), "switch_ip", ip_);
   }
-  powered_ = false;
+  downtime_.down(sim_.now());
 }
 
 u32 SwitchDevice::add_port() {
@@ -30,24 +30,33 @@ u32 SwitchDevice::add_port() {
 }
 
 void SwitchDevice::on_port_rx(u32 port, net::Packet packet) {
-  if (!powered_ || program_ == nullptr) return;
-  // Per-port ingress parser: a finite packet rate, the §IV-D bottleneck.
-  const SimTime parsed = ports_[port]->ingress_parser().admit(sim_.now());
-  ports_[port]->note_ingress_backlog(sim_.now());
-  sim_.schedule_at(parsed + config_.ingress_latency,
-                   sim::inline_event([this, port, p = std::move(packet)]() mutable {
-                     if (!powered_) return;
-                     PacketContext ctx;
-                     ctx.packet = std::move(p);
-                     ctx.ingress_port = port;
-                     run_ingress(std::move(ctx));
+  if (!powered() || program_ == nullptr) return;
+  const SimTime now = sim_.now();
+  sim_.schedule_at(admit_ingress(port, now),
+                   sim::inline_event([this, port, now, p = std::move(packet)]() mutable {
+                     on_ingress(port, now, std::move(p));
                    }));
 }
 
+SimTime SwitchDevice::admit_ingress(u32 port, SimTime at) noexcept {
+  // Per-port ingress parser: a finite packet rate, the §IV-D bottleneck.
+  const SimTime parsed = ports_[port]->ingress_parser().admit(at);
+  ports_[port]->note_ingress_backlog(at);
+  return parsed + config_.ingress_latency;
+}
+
+void SwitchDevice::on_ingress(u32 port, SimTime at, net::Packet packet) {
+  if (!up_at(at) || !powered() || program_ == nullptr) return;
+  PacketContext ctx;
+  ctx.packet = std::move(packet);
+  ctx.ingress_port = port;
+  run_ingress(std::move(ctx));
+}
+
 void SwitchDevice::inject_from_cpu(net::Packet packet) {
-  if (!powered_ || program_ == nullptr) return;
+  if (!powered() || program_ == nullptr) return;
   sim_.schedule(config_.punt_latency, sim::inline_event([this, p = std::move(packet)]() mutable {
-    if (!powered_) return;
+    if (!powered()) return;
     PacketContext ctx;
     ctx.packet = std::move(p);
     ctx.ingress_port = kCpuPort;
@@ -73,7 +82,7 @@ void SwitchDevice::route(PacketContext ctx) {
     sim_.schedule(config_.punt_latency,
                   sim::inline_event(
                       [this, p = std::move(ctx.packet), port = ctx.ingress_port]() mutable {
-                        if (powered_ && cpu_handler_) cpu_handler_(std::move(p), port);
+                        if (powered() && cpu_handler_) cpu_handler_(std::move(p), port);
                       }));
     return;
   }
@@ -107,23 +116,31 @@ void SwitchDevice::route(PacketContext ctx) {
 
 void SwitchDevice::run_egress(PacketContext ctx) {
   if (ctx.egress_port >= ports_.size()) {
-    ++egress_drops_;
-    m_egress_drops_->inc();
+    count_egress_drop();
     return;
   }
-  const SimTime parsed = ports_[ctx.egress_port]->egress_parser().admit(sim_.now());
-  ports_[ctx.egress_port]->note_egress_backlog(sim_.now());
-  sim_.schedule_at(parsed + config_.egress_latency,
-                   sim::inline_event([this, c = std::move(ctx)]() mutable {
-                     if (!powered_) return;
-                     program_->egress(c);
-                     if (c.drop) {
-                       ++egress_drops_;
-                       m_egress_drops_->inc();
-                       return;
-                     }
-                     ports_[c.egress_port]->transmit(std::move(c.packet));
-                   }));
+  Port& port = *ports_[ctx.egress_port];
+  const SimTime parsed = port.egress_parser().admit(sim_.now());
+  port.note_egress_backlog(sim_.now());
+  // The egress parser is the only sender on its port's link, in FIFO
+  // order, so the egress stage runs now on behalf of the egress instant
+  // T4: the copy is stamped with T4 and handed to the link, which drops it
+  // if the switch is off at T4.
+  ctx.egress_at = parsed + config_.egress_latency;
+  program_->egress(ctx);
+  if (ctx.drop) {
+    // A dropped copy leaves no packet to carry T4; its drop is counted then.
+    sim_.schedule_at(ctx.egress_at, sim::inline_event([this] {
+                       if (powered()) count_egress_drop();
+                     }));
+    return;
+  }
+  port.transmit(std::move(ctx.packet), ctx.egress_at);
+}
+
+void SwitchDevice::count_egress_drop() noexcept {
+  ++egress_drops_;
+  m_egress_drops_->inc();
 }
 
 // ---------------------------------------------------------------------------
@@ -146,18 +163,38 @@ Port::Port(SwitchDevice& device, u32 index, double parser_pps)
 }
 
 void Port::deliver(net::Packet packet) {
-  ++rx_;
-  m_rx_pkts_->inc();
-  m_rx_bytes_->inc(packet.wire_size());
+  count_rx(packet);
   device_.on_port_rx(index_, std::move(packet));
 }
 
-void Port::transmit(net::Packet packet) {
+void Port::arrive([[maybe_unused]] net::Link& link, [[maybe_unused]] int from, SimTime sent,
+                  net::Packet packet, SimTime at) {
+  assert(&link == link_ && from == 1 - end_);
+  // The ingress stage runs where the link's delivery event would have
+  // scheduled it: at `at`, by an event scheduled at `sent`.
+  device_.simulator().schedule_at(
+      device_.admit_ingress(index_, at), sim::Lineage{at, sent},
+      sim::inline_event([this, sent, at, p = std::move(packet)]() mutable {
+        if (!link_->carried(1 - end_, sent, at)) return;  // severed in flight
+        count_rx(p);
+        device_.on_ingress(index_, at, std::move(p));
+      }));
+}
+
+bool Port::up_at(SimTime at) const noexcept { return device_.up_at(at); }
+
+void Port::count_rx(const net::Packet& packet) noexcept {
+  ++rx_;
+  m_rx_pkts_->inc();
+  m_rx_bytes_->inc(packet.wire_size());
+}
+
+void Port::transmit(net::Packet packet, SimTime at) {
   if (link_ == nullptr) return;
   ++tx_;
   m_tx_pkts_->inc();
   m_tx_bytes_->inc(packet.wire_size());
-  link_->send(end_, std::move(packet));
+  link_->send(end_, std::move(packet), at);
 }
 
 void Port::note_ingress_backlog(SimTime now) noexcept {

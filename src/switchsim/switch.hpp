@@ -68,11 +68,20 @@ class SwitchDevice {
   /// Crash-stop the switch: all processing ceases, packets blackhole, and
   /// peers discover the failure through RDMA timeouts (§III-A).
   void power_off();
-  void power_on() noexcept { powered_ = true; }
-  bool powered() const noexcept { return powered_; }
+  void power_on() noexcept { downtime_.up(sim_.now()); }
+  bool powered() const noexcept { return !downtime_.is_down(); }
+  bool up_at(SimTime at) const noexcept { return downtime_.up_at(at); }
+
+  /// A packet arrives on `port` now.
+  void on_port_rx(u32 port, net::Packet packet);
 
   // Called by ports.
-  void on_port_rx(u32 port, net::Packet packet);
+  /// Admit a packet reaching `port` at `at` (>= now) to the port's ingress
+  /// parser; returns the instant its ingress stage runs.
+  SimTime admit_ingress(u32 port, SimTime at) noexcept;
+  /// The ingress stage of a packet that arrived on `port` at `at`: dropped
+  /// unless the switch was up at `at` and is up now.
+  void on_ingress(u32 port, SimTime at, net::Packet packet);
 
   u64 ingress_drops() const noexcept { return ingress_drops_; }
   u64 egress_drops() const noexcept { return egress_drops_; }
@@ -80,6 +89,7 @@ class SwitchDevice {
 
  private:
   void run_ingress(PacketContext ctx);
+  void count_egress_drop() noexcept;
   void route(PacketContext ctx);
   void run_egress(PacketContext ctx);
 
@@ -91,7 +101,7 @@ class SwitchDevice {
   MulticastEngine mcast_;
   PipelineProgram* program_ = nullptr;
   std::function<void(net::Packet, u32)> cpu_handler_;
-  bool powered_ = true;
+  net::Downtime downtime_;
   u64 ingress_drops_ = 0;
   u64 egress_drops_ = 0;
   u64 punted_ = 0;

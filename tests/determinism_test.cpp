@@ -71,7 +71,10 @@ TEST_P(DeterminismTest, IdenticalRunsAreBitForBitEqual) {
 
 // Every event callable is built in its slab slot, and the per-packet hop
 // closures fit the slot's inline buffer, so a cluster runs its setup and a
-// few hundred commits without a single heap-allocated event.
+// few hundred commits without a single heap-allocated event. The run's
+// event count is pinned exactly: a packet costs three events (switch
+// ingress, link-to-NIC delivery, NIC rx), and any hop that comes back, or
+// any event added per commit, shows up here.
 TEST_P(DeterminismTest, CommitsWithoutHeapAllocatedEvents) {
   const obs::Counter& allocs = obs::MetricsRegistry::global().counter("sim.events_alloc");
   const u64 before = allocs.value();
@@ -80,11 +83,17 @@ TEST_P(DeterminismTest, CommitsWithoutHeapAllocatedEvents) {
   options.mode = GetParam();
   auto cluster = core::Cluster::create(options);
   ASSERT_TRUE(cluster->start());
+  const u64 events_before = cluster->sim().events_executed();
   const auto result = workload::run_closed_loop(*cluster, /*value_size=*/64, /*window=*/16,
                                                 /*ops=*/300, /*warmup=*/50);
+  const u64 events = cluster->sim().events_executed() - events_before;
   EXPECT_GE(result.operations, 300u);
   EXPECT_EQ(result.failed, 0u);
   EXPECT_EQ(allocs.value(), before);
+  const u64 expected = GetParam() == consensus::Mode::kP4ce  ? 4945u
+                       : GetParam() == consensus::Mode::kMu ? 6695u
+                                                            : 10895u;
+  EXPECT_EQ(events, expected) << static_cast<double>(events) / 350.0 << " events per commit (warm-up included)";
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, DeterminismTest,

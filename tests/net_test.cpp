@@ -262,6 +262,36 @@ TEST_F(LinkFixture, CutDropsInFlightAndFuturePackets) {
   EXPECT_TRUE(link.is_cut());
 }
 
+TEST(Downtime, SpansCoverTheirBeginButNotTheirEnd) {
+  Downtime d;
+  EXPECT_TRUE(d.up_throughout(0, 1'000));
+  d.down(100);
+  d.up(200);
+  d.down(300);
+  EXPECT_TRUE(d.is_down());
+  EXPECT_TRUE(d.up_at(99));
+  EXPECT_FALSE(d.up_at(100));
+  EXPECT_TRUE(d.up_at(200));
+  EXPECT_TRUE(d.up_throughout(200, 299));
+  EXPECT_FALSE(d.up_throughout(50, 150));
+  EXPECT_FALSE(d.up_throughout(150, 250));
+  EXPECT_FALSE(d.up_throughout(250, 5'000));
+  EXPECT_FALSE(d.up_at(5'000));
+}
+
+// A cut that is repaired before the packet lands still loses it.
+TEST_F(LinkFixture, CutAndRestoreWhileInFlightDrops) {
+  Link link(sim, 100.0, 1000);
+  wire(link);
+  link.send(0, sized(64));
+  sim.run_until(10);
+  link.cut();
+  sim.run_until(20);
+  link.restore();
+  sim.run();
+  EXPECT_TRUE(b.received.empty());
+}
+
 TEST_F(LinkFixture, RestoreAllowsNewTraffic) {
   Link link(sim, 100.0, 10);
   wire(link);

@@ -94,6 +94,18 @@ TEST_F(NicFixture, PowerOffStopsEverything) {
   EXPECT_EQ(nic_a->packets_sent(), 1u);  // tx path is dead after power-off
 }
 
+// The link takes a packet when the NIC queues it, stamped with the instant
+// it leaves the NIC; a NIC that powers off before that instant never sends it.
+TEST_F(NicFixture, PowerOffDropsPacketsStillQueuedForTransmit) {
+  NicConfig slow;
+  slow.tx_per_packet = 1'000;  // leaves at 1, 2 and 3 us
+  build(slow);
+  for (int i = 0; i < 3; ++i) nic_a->send_packet(to_b());
+  sim.schedule(1'500, [&] { nic_a->power_off(); });
+  sim.run();
+  EXPECT_EQ(nic_b->packets_received(), 1u);
+}
+
 TEST_F(NicFixture, ActivePathSelectsLink) {
   // Second link to a second island.
   MemoryManager mem_c(3);

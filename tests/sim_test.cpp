@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
-#include "switchsim/pipeline.hpp"
 
 namespace p4ce::sim {
 namespace {
@@ -260,10 +259,10 @@ TEST(Simulator, SmallCapturesDoNotHeapAllocate) {
   EXPECT_TRUE(fired);
 }
 
-// The per-packet hop closures (NIC tx/rx, link delivery, switch ingress and
-// egress) carry a Packet or a PacketContext plus a pointer; they must fit
-// the slot's inline buffer (inline_event() checks it at compile time), or
-// every hop would heap-allocate.
+// The per-packet hop closures (link delivery, switch ingress, NIC rx) carry
+// a Packet plus up to three words (a pointer and two instants); they must
+// fit the slot's inline buffer (inline_event() checks it at compile time),
+// or every hop would heap-allocate.
 TEST(Simulator, PacketCapturesStayInline) {
   auto& alloc_counter = obs::MetricsRegistry::global().counter("sim.events_alloc");
   Simulator sim;
@@ -274,14 +273,33 @@ TEST(Simulator, PacketCapturesStayInline) {
   sim.schedule(1, inline_event([&delivered, p = packet] {
     delivered += p.payload.size();
   }));
-  sw::PacketContext ctx;
-  ctx.packet = packet;
-  sim.schedule(2, inline_event([&delivered, c = std::move(ctx)] {
-    delivered += c.packet.payload.size();
+  const SimTime sent = 1, at = 2;
+  sim.schedule(2, inline_event([&delivered, sent, at, p = std::move(packet)] {
+    EXPECT_LT(sent, at);
+    delivered += p.payload.size();
   }));
   sim.run();
   EXPECT_EQ(delivered, 128u);
   EXPECT_EQ(alloc_counter.value(), before);
+}
+
+// An event scheduled early on behalf of a hop that would run later keeps
+// the place among equal-time events that the hop would have given it.
+TEST(Simulator, LineageKeepsTheOrderOfAFoldedHop) {
+  const auto order = [](bool fold) {
+    Simulator sim;
+    std::string out;
+    if (fold) {
+      sim.schedule_at(20, Lineage{16, 0}, [&] { out += 'x'; });
+    } else {
+      sim.schedule(16, [&] { sim.schedule_at(20, [&] { out += 'x'; }); });
+    }
+    sim.schedule(15, [&] { sim.schedule_at(20, [&] { out += 'y'; }); });
+    sim.run();
+    return out;
+  };
+  EXPECT_EQ(order(false), "yx");
+  EXPECT_EQ(order(true), "yx");
 }
 
 TEST(Simulator, PostponedEventFiresOnceAtItsNewTime) {

@@ -4,10 +4,14 @@
 // scheduling / punt / power-off behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "common/rng.hpp"
 #include "net/packet.hpp"
+#include "obs/trace.hpp"
+#include "p4ce/dataplane.hpp"
 #include "sim/simulator.hpp"
 #include "switchsim/multicast.hpp"
 #include "switchsim/register.hpp"
@@ -150,7 +154,12 @@ class L3Program : public PipelineProgram {
 
 struct Recorder : net::PacketSink {
   std::vector<net::Packet> received;
-  void deliver(net::Packet p) override { received.push_back(std::move(p)); }
+  std::vector<SimTime> received_at;
+  sim::Simulator* sim = nullptr;
+  void deliver(net::Packet p) override {
+    received.push_back(std::move(p));
+    if (sim != nullptr) received_at.push_back(sim->now());
+  }
 };
 
 struct SwitchFixture : ::testing::Test {
@@ -163,6 +172,7 @@ struct SwitchFixture : ::testing::Test {
   void SetUp() override {
     device.load_program(&program);
     for (u32 i = 0; i < 3; ++i) {
+      hosts[i].sim = &sim;
       const u32 port = device.add_port();
       auto link = std::make_unique<net::Link>(sim, 100.0, 100);
       link->attach(&hosts[i], &device.port(port));
@@ -179,6 +189,13 @@ struct SwitchFixture : ::testing::Test {
     p.payload = Bytes(64, 0);
     return p;
   }
+
+  // Instants of a lone packet sent by host 0 at time 0: its arrival at
+  // port 0, its ingress stage, and its egress instant T4. Parsers take
+  // 8.26 ns per packet, rounded up to 9 ns.
+  SimTime arrival() { return serialization_delay(to(11).wire_size(), 100.0) + 100; }
+  SimTime ingress() { return arrival() + 9 + device.config().ingress_latency; }
+  SimTime egress() { return ingress() + 9 + device.config().egress_latency; }
 };
 
 TEST_F(SwitchFixture, ForwardsByDestinationIp) {
@@ -256,12 +273,135 @@ TEST_F(SwitchFixture, PowerOffBlackholesEverything) {
   EXPECT_EQ(hosts[1].received.size(), 1u);
 }
 
+TEST_F(SwitchFixture, LoneHopInstantsAsModelled) {
+  links[0]->send(0, to(11));
+  sim.run();
+  ASSERT_EQ(hosts[1].received_at.size(), 1u);
+  // The way out takes as long as the way in.
+  EXPECT_EQ(hosts[1].received_at[0], egress() + arrival());
+}
+
+// A link cut while the packet is on the wire drops it even if the link is
+// restored before the ingress stage runs; a cut after the packet arrived
+// does not touch it.
+TEST_F(SwitchFixture, CutInFlightDropsButCutAfterArrivalDoesNot) {
+  links[0]->send(0, to(11));
+  sim.schedule(arrival() / 2, [&] { links[0]->cut(); });
+  sim.schedule(arrival() + 1, [&] { links[0]->restore(); });
+  sim.run();
+  EXPECT_TRUE(hosts[1].received.empty());
+  EXPECT_EQ(device.port(0).rx_packets(), 0u);
+
+  const SimTime t0 = 10'000;
+  sim.run_until(t0);
+  links[0]->send(0, to(11));
+  sim.schedule(arrival() + 1, [&] { links[0]->cut(); });  // before the ingress stage
+  sim.run();
+  EXPECT_EQ(hosts[1].received.size(), 1u);
+  EXPECT_EQ(device.port(0).rx_packets(), 1u);
+}
+
+// The switch must be up at the packet's arrival, at its ingress stage and
+// at its egress instant; being back on at the next event does not revive it.
+TEST_F(SwitchFixture, OffAtArrivalDropsEvenIfBackOnForIngress) {
+  ASSERT_LT(arrival() + 1, ingress());
+  links[0]->send(0, to(11));
+  sim.schedule(arrival() - 1, [&] { device.power_off(); });
+  sim.schedule(arrival() + 1, [&] { device.power_on(); });
+  sim.run();
+  EXPECT_TRUE(hosts[1].received.empty());
+  EXPECT_EQ(program.egress_runs, 0u);
+}
+
+TEST_F(SwitchFixture, OffBetweenIngressAndEgressInstantDropsTheCopy) {
+  links[0]->send(0, to(11));
+  sim.schedule((ingress() + egress()) / 2, [&] { device.power_off(); });
+  sim.run();
+  EXPECT_TRUE(hosts[1].received.empty());
+}
+
+TEST_F(SwitchFixture, EgressDropIsCountedAtTheEgressInstant) {
+  class DropProgram : public PipelineProgram {
+   public:
+    void ingress(PacketContext& ctx) override { ctx.unicast_port = 1; }
+    void egress(PacketContext& ctx) override { ctx.drop = true; }
+  } drop_program;
+  device.load_program(&drop_program);
+  links[0]->send(0, to(11));
+  sim.run_until(egress() - 1);
+  EXPECT_EQ(device.egress_drops(), 0u);
+  sim.run();
+  EXPECT_EQ(device.egress_drops(), 1u);
+  EXPECT_EQ(sim.now(), egress());
+}
+
 TEST_F(SwitchFixture, PipelineAddsFixedLatency) {
   links[0]->send(0, to(11));
   sim.run();
   // propagation(100)*2 + serialization + parsers + ingress/egress latency.
   const auto& config = device.config();
   EXPECT_GE(sim.now(), 200 + config.ingress_latency + config.egress_latency);
+}
+
+// The P4CE egress rewrites each scatter copy when the copy is admitted to
+// its egress parser, but the trace stamps the copy at its egress instant
+// T4: the replica receives it one link traversal after T4.
+TEST_F(SwitchFixture, TracedScatterCopyIsStampedAtTheEgressInstant) {
+  const Ipv4Addr switch_ip = net::make_ip(1, 1);
+  p4::P4ceDataplane dataplane(switch_ip);
+  dataplane.set_clock(&sim);
+  device.load_program(&dataplane);
+  for (u32 i = 0; i < 3; ++i) {
+    std::ignore = dataplane.add_route(net::make_ip(0, static_cast<u8>(10 + i)), i);
+  }
+  p4::GroupSpec spec;
+  spec.mcast_group_id = 100;
+  spec.bcast_qpn = 0x8000;
+  spec.aggr_qpn = 0xc000;
+  spec.f_needed = 1;
+  spec.virtual_rkey = 0x1234;
+  spec.leader = p4::LeaderEndpoint{net::make_ip(0, 10), 0xE0, 0x111, 0};
+  for (u32 r = 0; r < 2; ++r) {
+    p4::ConnectionEntry conn;
+    conn.ip = net::make_ip(0, static_cast<u8>(11 + r));
+    conn.qpn = 0x200 + r;
+    conn.port = 1 + r;
+    spec.replicas.push_back(conn);
+  }
+  ASSERT_TRUE(device.multicast().create_group(100, {{1, 0}, {2, 1}}).is_ok());
+  ASSERT_TRUE(dataplane.install_group(spec).is_ok());
+
+  auto& tracer = obs::Tracer::global();
+  tracer.enable();
+  tracer.clear();
+  const Psn psn = 42;
+  tracer.begin_round(1, 0);
+  tracer.map_wire(1, psn, 1, spec.bcast_qpn);
+
+  net::Packet write;
+  write.ip.src = spec.leader.ip;
+  write.ip.dst = switch_ip;
+  write.bth.opcode = rdma::Opcode::kWriteOnly;
+  write.bth.dest_qp = spec.bcast_qpn;
+  write.bth.psn = psn;
+  write.reth = rdma::Reth{0, spec.virtual_rkey, 64};
+  write.payload = Bytes(64, 0);
+  const Duration wire = serialization_delay(write.wire_size(), 100.0) + 100;
+  links[0]->send(0, std::move(write));
+  sim.run();
+  tracer.end_round(1, sim.now(), true);
+  const std::string json = tracer.to_chrome_json();
+  tracer.disable();
+  tracer.clear();
+
+  ASSERT_EQ(hosts[1].received_at.size(), 1u);
+  const SimTime t4 = hosts[1].received_at[0] - wire;
+  EXPECT_GT(t4, wire + device.config().ingress_latency + device.config().egress_latency);
+  const std::string key = "\"scatter.copy\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  const double ts_us = std::strtod(json.c_str() + at + key.size(), nullptr);
+  EXPECT_EQ(static_cast<SimTime>(ts_us * 1000.0 + 0.5), t4);
 }
 
 }  // namespace
