@@ -250,14 +250,17 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn do
   auto [op_it, inserted] = ops_.emplace(seq, std::move(op));
   std::ignore = inserted;
 
+  // The posts share one immutable buffer, as Mu's do; `payload` is not
+  // const, so a closure's copy moves on into post().
   const SimTime t_replicate = sim_.now();
+  net::PayloadRef payload(std::move(entry));
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (targets_[i].excluded || targets_[i].qp == nullptr) continue;
     ++op_it->second.inflight;
     // Two work requests per replica — the entry write and the slot atomic —
     // is the CPU price of one-sidedness: double Mu's posting cost, where
     // P4CE pays for a single post in total.
-    cpu_.execute(2 * cal_.cpu_post_wr, [this, i, offset, entry, seq, t_replicate] {
+    cpu_.execute(2 * cal_.cpu_post_wr, [this, i, offset, payload, seq, t_replicate]() mutable {
       auto it = ops_.find(seq);
       if (it == ops_.end()) return;
       OpState& op = it->second;
@@ -276,7 +279,7 @@ void OneSidedCommunicator::replicate(u64 offset, Bytes entry, u64 seq, DoneFn do
       // so the fast path is one broadcast-CAS round trip.
       Status st = target.qp->post({.remote_vaddr = target.log_vaddr + offset,
                                    .rkey = target.log_rkey,
-                                   .payload = Bytes(entry),
+                                   .payload = std::move(payload),
                                    .signaled = false});
       if (st.is_ok()) {
         const u64 wr = next_wr_++;
