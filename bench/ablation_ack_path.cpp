@@ -113,6 +113,8 @@ int main() {
   for (u32 replicas : {2u, 4u, 6u}) {
     const double egress = aggregate_mpps(p4::AckDropStage::kEgress, replicas);
     const double ingress = aggregate_mpps(p4::AckDropStage::kIngress, replicas);
+    session.add_value("egress_mpps_r" + std::to_string(replicas), egress);
+    session.add_value("ingress_mpps_r" + std::to_string(replicas), ingress);
     table.add_row({std::to_string(replicas), workload::Table::fmt(egress, 1),
                    workload::Table::fmt(ingress, 1),
                    workload::Table::fmt(replicas * 121.0, 0)});

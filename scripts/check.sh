@@ -30,9 +30,12 @@ if [[ "$perf" == 1 ]]; then
   python3 scripts/perf_smoke.py micro_packet micro_event
 
   echo "== bench JSON schema check =="
-  # The perf smoke's BENCH files plus whatever the test run emitted (the
-  # chaos suite writes FLIGHT_*.json into build/tests).
+  # The perf smoke's BENCH files, the §IV-D ablation's simulated rates
+  # (gated on their 121 / 121 x n Mpps shape), plus whatever the test run
+  # emitted (the chaos suite writes FLIGHT_*.json into build/tests).
+  ./build/bench/ablation_ack_path >/dev/null
   python3 scripts/check_bench_json.py BENCH_micro_packet.json BENCH_micro_event.json \
+    BENCH_ablation_ack_path.json \
     $(ls build/tests/FLIGHT_*.json build/tests/SERIES_*.json 2>/dev/null || true)
 fi
 

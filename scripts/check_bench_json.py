@@ -18,6 +18,9 @@ are passed:
     `sim.events_alloc` counter is absent or 0 (every event callable is built
     in its slab slot and the per-packet hop closures fit the inline buffer,
     so one allocation is a regression; gated exactly);
+  * ablation_ack_path's simulated rates hold the §IV-D shape: every
+    egress_mpps_r<n> value is 121 +- 2 Mpps (one leader egress parser caps
+    aggregation) and every ingress_mpps_r<n> is within 1 % of 121 * n;
   * an "attribution" report, when present, has non-negative stage
     histograms with monotone p50 <= p99 <= p999;
   * SERIES files carry p4ce-series-v1 with column-aligned frames;
@@ -97,6 +100,8 @@ def check_bench(path, doc):
             if len(row) != len(columns):
                 ok = fail(path, f"tables[{i}].rows[{j}]: {len(row)} cells vs "
                                 f"{len(columns)} columns")
+    if doc.get("bench") == "ablation_ack_path":
+        ok &= check_ack_path(path, values)
     allocs = doc.get("metrics", {}).get("sim.events_alloc", {}).get("value", 0)
     if allocs > 0:
         ok = fail(path, f"metrics.sim.events_alloc = {allocs:g}, want 0 "
@@ -108,6 +113,23 @@ def check_bench(path, doc):
         ok &= check_histogram(path, attribution.get("total", {}), "attribution.total")
         for stage, hist in attribution.get("stages", {}).items():
             ok &= check_histogram(path, hist, f"attribution.stages.{stage}")
+    return ok
+
+
+def check_ack_path(path, values):
+    """The §IV-D ablation's shape: 121 Mpps in egress mode, 121 * n in ingress."""
+    ok = True
+    egress = {k: v for k, v in values.items() if k.startswith("egress_mpps_r")}
+    ingress = {k: v for k, v in values.items() if k.startswith("ingress_mpps_r")}
+    if not egress or not ingress:
+        return fail(path, "ablation_ack_path records no egress_/ingress_mpps_r<n> values")
+    for key, value in egress.items():
+        if abs(value - 121.0) > 2.0:
+            ok = fail(path, f"values.{key} = {value:g}, want 121 +- 2 Mpps")
+    for key, value in ingress.items():
+        want = 121.0 * int(key.rsplit("_r", 1)[1])
+        if abs(value - want) > 0.01 * want:
+            ok = fail(path, f"values.{key} = {value:g}, want {want:g} +- 1 %")
     return ok
 
 
